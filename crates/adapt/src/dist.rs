@@ -707,9 +707,9 @@ mod tests {
             for p in &dm.parts {
                 p.mesh.assert_valid();
                 assert!(all_positive(&p.mesh));
-                assert!(pumi_core::dist::check_gids(p).is_empty());
             }
-            pumi_core::verify::assert_dist_valid(c, &dm);
+            pumi_check::check_dist(c, &dm, pumi_check::CheckOpts::all())
+                .expect("valid distributed mesh");
         });
     }
 
@@ -730,7 +730,8 @@ mod tests {
             );
             assert_eq!(stats.splits as usize, rstats.splits);
             assert_eq!(stats.elements_after as usize, rstats.elements_after);
-            pumi_core::verify::assert_dist_valid(c, &dm);
+            pumi_check::check_dist(c, &dm, pumi_check::CheckOpts::all())
+                .expect("valid distributed mesh");
         });
     }
 
@@ -754,7 +755,8 @@ mod tests {
                 p.mesh.assert_valid();
                 assert!(all_positive(&p.mesh));
             }
-            pumi_core::verify::assert_dist_valid(c, &dm);
+            pumi_check::check_dist(c, &dm, pumi_check::CheckOpts::all())
+                .expect("valid distributed mesh");
         });
     }
 
@@ -804,7 +806,8 @@ mod tests {
             adapt_dist(c, &mut dm, &size, opts);
             let ghosts = dm.global_sum(c, |p| p.num_ghosts() as u64);
             assert!(ghosts > 0, "ghost layer not rebuilt");
-            pumi_core::verify::assert_dist_valid(c, &dm);
+            pumi_check::check_dist(c, &dm, pumi_check::CheckOpts::all())
+                .expect("valid distributed mesh");
         });
     }
 }

@@ -1,11 +1,11 @@
-//! Checkpoint-service timing: flat v1 vs chunked-compressed v2 `.pmb`
-//! writes, a delta checkpoint after a sparse touch pass, and many
-//! concurrent clients restoring disjoint slices of one checkpoint through
-//! the shared chunk cache of `pumi-serve`.
+//! Checkpoint-service timing: chunked-compressed `.pmb` writes, a delta
+//! checkpoint after a sparse touch pass, and many concurrent clients
+//! restoring disjoint slices of one checkpoint through the shared chunk
+//! cache of `pumi-serve`.
 //!
 //! The default pass runs at ~10^6 triangles; `--large` adds a ~10^7 pass
 //! (one rep). Each leg reports the median wall time and the bytes the leg
-//! put on disk; the v2 write must beat v1 on bytes or the bin aborts.
+//! put on disk.
 //!
 //! Usage: `checkpoint_service [--parts N] [--reps N] [--clients N] [--large]
 //! [--nx N]` — `--nx` replaces the default ~10^6 pass with a small
@@ -37,7 +37,6 @@ struct Leg {
 struct ScaleBytes {
     scale: String,
     elements: u64,
-    v1: u64,
     v2: u64,
     delta: u64,
 }
@@ -117,29 +116,13 @@ fn run_scale(
     eprintln!("checkpoint_service[{scale}]: {elements} tris, {parts} parts, {reps} reps");
     let labels = partition_mesh(&serial, parts);
     let tag = format!("pumi_io_serve_{}_{scale}", std::process::id());
-    let dir_v1: PathBuf = std::env::temp_dir().join(format!("{tag}_v1"));
     let dir_v2: PathBuf = std::env::temp_dir().join(format!("{tag}_v2"));
-    let _ = std::fs::remove_dir_all(&dir_v1);
     let _ = std::fs::remove_dir_all(&dir_v2);
 
     // One world does all the writing: distribute once, then time each leg.
     let out = execute(parts, |c| {
         let mut dm = distribute(c, PartMap::contiguous(parts, parts), &serial, &labels);
         let mut fields = make_fields(&dm);
-
-        let mut v1_ns = Vec::with_capacity(reps);
-        let mut v1_bytes = 0u64;
-        let opts_v1 = WriteOpts {
-            version: 1,
-            ..WriteOpts::default()
-        };
-        for _ in 0..reps {
-            let t = Timer::start();
-            let stats =
-                write_checkpoint_with(c, &dm, &[&fields], &dir_v1, &opts_v1).expect("v1 write");
-            v1_ns.push((t.seconds() * 1e9) as u64);
-            v1_bytes = stats.bytes_global;
-        }
 
         let mut v2_ns = Vec::with_capacity(reps);
         let mut v2_bytes = 0u64;
@@ -167,38 +150,18 @@ fn run_scale(
         let t = Timer::start();
         let stats = write_delta_checkpoint(c, &mut dm, &[&fields], &dir_v2).expect("delta write");
         let delta_ns = (t.seconds() * 1e9) as u64;
-        (
-            v1_ns,
-            v2_ns,
-            vec![delta_ns],
-            stats.bytes_global,
-            v1_bytes,
-            v2_bytes,
-        )
+        (v2_ns, vec![delta_ns], stats.bytes_global, v2_bytes)
     });
-    let (_, _, _, delta_bytes, v1_bytes, v2_bytes) = out[0].clone();
-    let v1_ns = fold_max(out.iter().map(|o| o.0.clone()).collect());
-    let v2_ns = fold_max(out.iter().map(|o| o.1.clone()).collect());
-    let delta_ns = fold_max(out.iter().map(|o| o.2.clone()).collect());
+    let (_, _, delta_bytes, v2_bytes) = out[0].clone();
+    let v2_ns = fold_max(out.iter().map(|o| o.0.clone()).collect());
+    let delta_ns = fold_max(out.iter().map(|o| o.1.clone()).collect());
 
-    assert!(
-        v2_bytes < v1_bytes,
-        "[{scale}] compressed v2 ({v2_bytes} B) must beat flat v1 ({v1_bytes} B)"
-    );
-
-    legs.push(Leg {
-        name: format!("write_v1@{scale}"),
-        median_ns: median_ns(v1_ns),
-        samples: reps as u64,
-        bytes: v1_bytes,
-        detail: "flat".into(),
-    });
     legs.push(Leg {
         name: format!("write_v2@{scale}"),
         median_ns: median_ns(v2_ns),
         samples: reps as u64,
         bytes: v2_bytes,
-        detail: format!("{:.2}x of v1", v2_bytes as f64 / v1_bytes as f64),
+        detail: "chunked LZ4".into(),
     });
     legs.push(Leg {
         name: format!("delta@{scale}"),
@@ -210,7 +173,6 @@ fn run_scale(
     bytes_rows.push(ScaleBytes {
         scale: scale.to_string(),
         elements,
-        v1: v1_bytes,
         v2: v2_bytes,
         delta: delta_bytes,
     });
@@ -249,7 +211,6 @@ fn run_scale(
         detail,
     });
 
-    let _ = std::fs::remove_dir_all(&dir_v1);
     let _ = std::fs::remove_dir_all(&dir_v2);
 }
 
@@ -306,13 +267,8 @@ fn main() {
             Json::obj([
                 ("scale", Json::str(r.scale.clone())),
                 ("elements", Json::U64(r.elements)),
-                ("v1_bytes", Json::U64(r.v1)),
                 ("v2_bytes", Json::U64(r.v2)),
                 ("delta_bytes", Json::U64(r.delta)),
-                (
-                    "v2_over_v1",
-                    Json::str(format!("{:.3}", r.v2 as f64 / r.v1 as f64)),
-                ),
             ])
         })),
     );

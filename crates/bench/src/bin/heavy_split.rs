@@ -94,7 +94,8 @@ fn main() {
             }
             let secs = t.seconds();
             let after = EntityLoads::gather(c, &dm).imbalance_pct(d);
-            pumi_core::verify::assert_dist_valid(c, &dm);
+            pumi_check::check_dist(c, &dm, pumi_check::CheckOpts::all())
+                .expect("valid distributed mesh");
             let obs = pumi_pcu::obs::world_report(c);
             let traces = pumi_obs::parma::take();
             (c.rank() == 0).then_some((before, after, secs, obs, traces))

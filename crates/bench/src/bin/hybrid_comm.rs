@@ -8,21 +8,37 @@
 //!    claim is functional, not a speedup number).
 //! 2. The same mesh distributed on a flat machine (every part its own node)
 //!    vs a two-level machine (8 cores per node): the off-node share of
-//!    boundary entities and of exchanged bytes drops — the motivation for
+//!    part-boundary links and of exchanged bytes drops — the motivation for
 //!    architecture-aware partitioning.
+//! 3. Node-then-core partitioning (`partition_mesh_hier`) vs a
+//!    machine-oblivious numbering of a flat partition, both distributed on
+//!    the two-level machine.
 //!
 //! Usage: `hybrid_comm [--n N] [--parts N]`
 
 use pumi_bench::report::{f, print_table, table_to_json, write_report, Table};
 use pumi_bench::workloads::aaa_mesh;
-use pumi_core::twolevel::{boundary_traffic_split, two_level_map};
-use pumi_core::{distribute, PartExchange};
+use pumi_core::twolevel::off_node_boundary;
+use pumi_core::{distribute, PartExchange, PartMap};
+use pumi_mesh::Mesh;
 use pumi_obs::json::Json;
 use pumi_obs::report::Report;
-use pumi_partition::partition_mesh;
+use pumi_partition::{partition_mesh, partition_mesh_hier, HierOpts};
 use pumi_pcu::phased::Exchange;
 use pumi_pcu::{execute_on, MachineModel};
 use pumi_util::stats::Timer;
+use pumi_util::PartId;
+
+/// Off-node share of the part-boundary links when `labels` is distributed
+/// one part per rank, node-major, on `machine`.
+fn off_node_link_pct(machine: MachineModel, mesh: &Mesh, labels: &[PartId]) -> f64 {
+    let n = machine.nranks();
+    execute_on(machine, |c| {
+        let dm = distribute(c, PartMap::contiguous(n, n), mesh, labels);
+        let s = off_node_boundary(c, &dm, &machine);
+        100.0 * s.off_copies as f64 / (s.on_copies + s.off_copies).max(1) as f64
+    })[0]
+}
 
 fn main() {
     let mut n = 10usize; // vessel nr; nz = 4n
@@ -93,8 +109,8 @@ fn main() {
         ),
         &[
             "machine",
-            "on-node bnd",
-            "off-node bnd",
+            "on-node links",
+            "off-node links",
             "off-node share",
             "off-node bytes (1 sync)",
             "mesh mem (KiB)",
@@ -106,8 +122,8 @@ fn main() {
         ("2-level (8 cores/node)", MachineModel::new(nparts / 8, 8)),
     ] {
         let out = execute_on(machine, |c| {
-            let dm = distribute(c, two_level_map(machine), &serial, &labels);
-            let split = boundary_traffic_split(&dm, machine);
+            let dm = distribute(c, PartMap::contiguous(nparts, nparts), &serial, &labels);
+            let split = off_node_boundary(c, &dm, &machine);
             // §II-D: an on-node boundary entity "exists implicitly in shared
             // memory"; the bytes our explicit copies spend on them is the
             // saving a shared-memory part representation would realize.
@@ -117,10 +133,13 @@ fn main() {
                 .map(|p| p.mesh.memory_usage().total() as u64)
                 .sum::<u64>();
             let mem_total = c.allreduce_sum_u64(mem_total);
-            // One boundary synchronization round: every part sends one u64
-            // per shared entity copy to its holder.
+            // Every rank resets between two barriers, so no reset can wipe
+            // a peer's already-counted sync traffic.
             c.barrier();
             c.reset_traffic();
+            c.barrier();
+            // One boundary synchronization round: every part sends one u64
+            // per shared entity copy to its holder.
             let mut ex = PartExchange::new(c, &dm.map);
             for part in &dm.parts {
                 for (e, remotes) in part.shared_entities() {
@@ -133,16 +152,17 @@ fn main() {
             }
             let _ = ex.finish();
             c.barrier();
+            // Read the meters before the obs report gathers over them.
+            let traffic = c.traffic();
             let obs = pumi_pcu::obs::world_report(c);
-            (c.rank() == 0).then(|| (split, c.traffic(), mem_total, obs))
+            (c.rank() == 0).then_some((split, traffic, mem_total, obs))
         });
         let (split, traffic, mem_total, obs) = out.into_iter().flatten().next().unwrap();
         machine_obs.push(Json::obj([
             ("machine", Json::str(name)),
             ("obs", obs.unwrap_or(Json::Null)),
         ]));
-        let on = split.on_node_total();
-        let off = split.off_node_total();
+        let (on, off) = (split.on_copies, split.off_copies);
         t2.row(vec![
             name.to_string(),
             on.to_string(),
@@ -165,32 +185,25 @@ fn main() {
     // on the nodes" — compared against a machine-oblivious assignment of
     // the same number of parts (part ids permuted, as a partitioner with no
     // machine knowledge would produce).
-    use pumi_partition::{off_node_share, two_level_partition};
-    use pumi_util::{Dim, PartId};
     let nodes = nparts / 8;
     let cores = 8;
-    let hybrid = two_level_partition(&serial, nodes, cores);
+    let machine = MachineModel::new(nodes, cores);
+    let hybrid = partition_mesh_hier(&serial, nparts, &machine, HierOpts::default());
     let oblivious: Vec<PartId> = labels
         .iter()
         .map(|&p| (p * 7 + 3) % nparts as PartId)
         .collect();
     let mut t3 = Table::new(
         &format!("Hybrid partitioning: {nodes} nodes x {cores} cores"),
-        &["partition", "off-node vtx share"],
+        &["partition", "off-node link share"],
     );
     t3.row(vec![
         "machine-oblivious flat".to_string(),
-        f(
-            off_node_share(&serial, &oblivious, cores, Dim::Vertex) * 100.0,
-            1,
-        ) + "%",
+        f(off_node_link_pct(machine, &serial, &oblivious), 1) + "%",
     ]);
     t3.row(vec![
         "two-level (node, then core)".to_string(),
-        f(
-            off_node_share(&serial, &hybrid, cores, Dim::Vertex) * 100.0,
-            1,
-        ) + "%",
+        f(off_node_link_pct(machine, &serial, &hybrid), 1) + "%",
     ]);
     print_table(&t3);
     println!();

@@ -7,11 +7,15 @@
 //! [`check_dist`] verifies the full link structure collectively, via the
 //! same phased exchanges the algorithms themselves use:
 //!
+//! * **serial validity** — each part's mesh passes `Mesh::verify`
+//!   (live, reciprocal up/down adjacency, consistent lookups, manifold
+//!   sides),
 //! * **remote-copy symmetry** — if part A lists `(B, i)` for an entity,
 //!   part B's entity at `i` is live, carries the same global id, and lists
 //!   A back with A's index,
-//! * **single ownership** — every copy of a shared entity computes the same
-//!   owner, and residence sets agree on all copies,
+//! * **single ownership** — residence sets agree on all copies, so every
+//!   copy computes the same min-part owner; together with symmetry this
+//!   makes each shared entity owned exactly once,
 //! * **residence/ghost agreement** — ghost copies stay out of residence
 //!   sets; holder-side ghost records and owner-side `ghosted_to` records
 //!   mirror each other exactly,
@@ -276,6 +280,14 @@ pub enum CheckError {
         /// Ranks the machine actually has.
         nranks: u32,
     },
+    /// A part's serial mesh fails `Mesh::verify` (dead or non-reciprocal
+    /// adjacency, stale lookup, non-manifold side, degenerate entity).
+    MeshInvalid {
+        /// The part whose mesh is broken.
+        part: PartId,
+        /// The violation as `Mesh::verify` reports it.
+        detail: String,
+    },
     /// A purely local structure is broken (missing gid, stale gid index,
     /// self-referential remote list, shared element, ghost in residence).
     LocalCorrupt {
@@ -346,6 +358,7 @@ impl std::fmt::Display for CheckError {
                 f,
                 "part {part} mapped to rank {rank}, outside the {nranks}-rank machine"
             ),
+            MeshInvalid { part, detail } => write!(f, "part {part}: serial mesh invalid: {detail}"),
             LocalCorrupt { part, dim, gid, what } => {
                 write!(f, "part {part}: {what} (dim {dim}, gid {gid})")
             }
@@ -397,9 +410,19 @@ fn dim8(e: MeshEnt) -> u8 {
     e.dim().as_usize() as u8
 }
 
-/// Purely local structure checks: gid presence, gid-index coherence,
-/// self-free remote lists, unshared elements, ghosts outside residence.
+/// Purely local structure checks: serial mesh validity, gid presence,
+/// gid-index coherence, self-free remote lists, unshared elements, ghosts
+/// outside residence.
 fn check_local(part: &Part, elem_dim: usize, errs: &mut Vec<CheckError>, stats: &mut CheckStats) {
+    errs.extend(
+        part.mesh
+            .verify()
+            .into_iter()
+            .map(|detail| CheckError::MeshInvalid {
+                part: part.id,
+                detail,
+            }),
+    );
     for d in Dim::ALL {
         for e in part.mesh.iter(d) {
             stats.entities += 1;
@@ -477,8 +500,10 @@ fn check_overlap_closure(part: &Part, errs: &mut Vec<CheckError>, stats: &mut Ch
 
 /// Remote-copy symmetry / ownership / residence agreement: each part sends,
 /// for every shared non-ghost entity and every listed remote `(q, ridx)`,
-/// its own gid/index/owner/residence; `q` verifies everything against the
-/// entity at `ridx`.
+/// its gid, both indices and the residence members other than itself and
+/// `q`; `q` verifies everything against the entity at `ridx`. The owner is
+/// not sent: a non-ghost copy's owner is the minimum of its residence set,
+/// so residence agreement implies owner agreement.
 fn check_symmetry(
     comm: &Comm,
     dm: &DistMesh,
@@ -492,15 +517,18 @@ fn check_symmetry(
             if part.is_ghost(e) {
                 continue;
             }
-            let res = part.residence(e);
             for &(q, ridx) in remotes {
+                let others: Vec<PartId> = remotes
+                    .iter()
+                    .map(|&(p, _)| p)
+                    .filter(|&p| p != q)
+                    .collect();
                 let w = ex.to(part.id, q);
                 w.put_u8(dim8(e));
                 w.put_u64(part.gid_of(e));
                 w.put_u32(ridx); // where I think q holds its copy
                 w.put_u32(e.index()); // where q should point back to
-                w.put_u32(part.owner(e));
-                w.put_u32_slice(&res);
+                w.put_u32_slice(&others);
             }
         }
     }
@@ -515,8 +543,7 @@ fn check_symmetry(
                 let gid = r.try_get_u64()?;
                 let my_idx = r.try_get_u32()?;
                 let their_idx = r.try_get_u32()?;
-                let owner = r.try_get_u32()?;
-                let res: Vec<PartId> = r.try_get_u32_slice()?;
+                let mut res: Vec<PartId> = r.try_get_u32_slice()?;
                 stats.links += 1;
                 let e = MeshEnt::new(d, my_idx);
                 if !part.mesh.is_live(e) || part.gid_of(e) != gid {
@@ -542,22 +569,26 @@ fn check_symmetry(
                     });
                 }
                 if opts.ownership {
-                    if part.owner(e) != owner {
-                        errs.push(CheckError::OwnerDisagreement {
-                            part: part.id,
-                            peer: from,
-                            dim: db,
-                            gid,
-                            ours: part.owner(e),
-                            theirs: owner,
-                        });
-                    }
-                    if part.residence(e) != res {
+                    // The sender's residence set, rebuilt.
+                    res.extend([from, to]);
+                    res.sort_unstable();
+                    let ours = part.residence(e);
+                    if ours != res {
                         errs.push(CheckError::ResidenceMismatch {
                             part: part.id,
                             peer: from,
                             dim: db,
                             gid,
+                        });
+                    }
+                    if ours[0] != res[0] {
+                        errs.push(CheckError::OwnerDisagreement {
+                            part: part.id,
+                            peer: from,
+                            dim: db,
+                            gid,
+                            ours: ours[0],
+                            theirs: res[0],
                         });
                     }
                 }

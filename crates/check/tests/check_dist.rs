@@ -6,6 +6,7 @@ use pumi_core::overlap::{grow_overlap, GhostOpts, Overlap, Reduction};
 use pumi_core::{distribute, migrate, DistMesh, MigrationPlan, Part, PartMap};
 use pumi_field::{dist_field, Field, FieldShape, FieldSync};
 use pumi_geom::GeomEnt;
+use pumi_mesh::Topology;
 use pumi_meshgen::tri_rect;
 use pumi_pcu::{execute, Comm};
 use pumi_util::{Dim, FxHashMap, PartId};
@@ -136,6 +137,133 @@ fn duplicate_gid_detected_and_gateable() {
         }
         // With the gid family gated off, the same mesh passes.
         check_dist(c, &dm, CheckOpts::all().gids(false)).expect("gated check still failed");
+    });
+}
+
+/// Three parts meeting at the centre vertex: the left and right halves of
+/// the top (parts 0 and 1) over a bottom strip (part 2).
+fn three_part_mesh(c: &Comm) -> DistMesh {
+    let serial = tri_rect(4, 4, 1.0, 1.0);
+    let d = serial.elem_dim_t();
+    let mut elem_part = vec![0 as PartId; serial.index_space(d)];
+    for e in serial.iter(d) {
+        let x = serial.centroid(e);
+        elem_part[e.idx()] = if x[1] < 0.5 {
+            2
+        } else {
+            u32::from(x[0] >= 0.5)
+        };
+    }
+    distribute(c, PartMap::contiguous(3, 3), &serial, &elem_part)
+}
+
+/// Drop the links between parts `a` and `b`, on both sides, from the one
+/// vertex all three parts share. Every remaining link stays symmetric.
+fn unlink_centre(dm: &mut DistMesh, a: PartId, b: PartId) {
+    for part in &mut dm.parts {
+        let other = match part.id {
+            p if p == a => b,
+            p if p == b => a,
+            _ => continue,
+        };
+        let (v, remotes) = part
+            .shared_entities()
+            .into_iter()
+            .find(|(e, r)| e.dim() == Dim::Vertex && r.len() == 2)
+            .map(|(e, r)| (e, r.to_vec()))
+            .expect("centre vertex on three parts");
+        part.set_remotes(
+            v,
+            remotes.into_iter().filter(|&(q, _)| q != other).collect(),
+        );
+    }
+}
+
+/// Parts 1 and 2 forget each other at the centre vertex while part 0 still
+/// lists both: every pair of copies is symmetric, but the residence sets
+/// differ, so every rank fails with residence mismatches only.
+#[test]
+fn residence_mismatch_fails_everywhere() {
+    execute(3, |c| {
+        let mut dm = three_part_mesh(c);
+        check_dist(c, &dm, CheckOpts::all()).expect("clean three-part mesh");
+        unlink_centre(&mut dm, 1, 2);
+        let err = check_dist(c, &dm, CheckOpts::all()).expect_err("residence mismatch undetected");
+        assert!(!err.errors.is_empty(), "rank {} saw nothing", c.rank());
+        assert!(
+            err.errors
+                .iter()
+                .all(|e| matches!(e, CheckError::ResidenceMismatch { dim: 0, .. })),
+            "rank {} saw: {err}",
+            c.rank()
+        );
+        // The owner is part 0 on every copy, so nothing else is wrong.
+        check_dist(c, &dm, CheckOpts::all().ownership(false)).expect("gated check still failed");
+    });
+}
+
+/// Parts 0 and 1 forget each other at the centre vertex: part 1 now
+/// computes itself the owner while part 2 still computes part 0, so the
+/// copies disagree about the owner (and part 1 claims a gid part 0 owns).
+#[test]
+fn owner_disagreement_fails_everywhere() {
+    execute(3, |c| {
+        let mut dm = three_part_mesh(c);
+        unlink_centre(&mut dm, 0, 1);
+        let err = check_dist(c, &dm, CheckOpts::all()).expect_err("owner disagreement undetected");
+        assert!(err.world_violations > 0);
+        let (ours, theirs) = match c.rank() {
+            0 => return,
+            1 => (1, 0),
+            _ => (0, 1),
+        };
+        assert!(
+            err.errors.iter().any(|e| matches!(
+                e,
+                CheckError::OwnerDisagreement { dim: 0, ours: o, theirs: t, .. }
+                    if (*o, *t) == (ours, theirs)
+            )),
+            "rank {} saw: {err}",
+            c.rank()
+        );
+    });
+}
+
+/// A third triangle on an interior edge of part 0 breaks its serial
+/// topology (a non-manifold side) and nothing else: the gids are fresh and
+/// no cross-part link changes. Only the serial `Mesh::verify` check sees
+/// it, and every rank still fails.
+#[test]
+fn serial_topology_break_fails_everywhere() {
+    execute(2, |c| {
+        let mut dm = two_part_mesh(c);
+        if c.rank() == 0 {
+            let part = dm.part_mut(0);
+            let edge = part
+                .mesh
+                .iter(Dim::Edge)
+                .find(|&e| !part.is_shared(e) && part.mesh.up_count(e) == 2)
+                .expect("interior edge");
+            let (a, b) = (part.mesh.verts_of(edge)[0], part.mesh.verts_of(edge)[1]);
+            let gid = part.new_gid();
+            let v = part.add_vertex([0.3, 0.3, 1.0], GeomEnt(0), gid);
+            let gid = part.new_gid();
+            part.add_entity(Topology::Triangle, &[a, b, v.index()], GeomEnt(0), gid);
+        }
+        let err = check_dist(c, &dm, CheckOpts::all()).expect_err("broken topology undetected");
+        assert!(err.world_violations > 0);
+        if c.rank() == 0 {
+            assert!(
+                !err.errors.is_empty()
+                    && err.errors.iter().all(|e| matches!(
+                        e,
+                        CheckError::MeshInvalid { part: 0, detail } if detail.contains("non-manifold")
+                    )),
+                "rank 0 saw: {err}"
+            );
+        } else {
+            assert!(err.errors.is_empty(), "rank 1 saw: {err}");
+        }
     });
 }
 

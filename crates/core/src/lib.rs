@@ -17,10 +17,11 @@
 //! * [`overlap`] — the star-forest of entity shares: arbitrary-depth
 //!   ghost growth, root→leaf `bcast`, leaf→root `reduce` (§II-C),
 //! * [`numbering`] — parallel-consistent global numbering of owned entities,
-//! * [`twolevel`] — two-level architecture-aware partitioning support:
-//!   on-node vs off-node part boundaries (§II-D, Figs 5/6),
-//! * [`verify`] — distributed invariants (symmetric remotes, owner
-//!   consistency, global entity conservation).
+//! * [`twolevel`] — the on-node vs off-node part-boundary measure of
+//!   two-level architecture-aware partitioning (§II-D, Figs 5/6).
+//!
+//! The distributed invariants every algorithm here maintains are checked
+//! by `pumi_check::check_dist`.
 
 pub mod dist;
 pub mod migrate;
@@ -29,7 +30,6 @@ pub mod overlap;
 pub mod part;
 pub mod ptnmodel;
 pub mod twolevel;
-pub mod verify;
 
 pub use dist::{distribute, DistMesh, PartExchange, PartMap};
 pub use migrate::{migrate, MigrationPlan};

@@ -27,7 +27,7 @@
 //! residence excludes this part are deleted top-down.
 
 use crate::dist::{DistMesh, PartExchange};
-use crate::part::{Part, NO_GID};
+use crate::part::Part;
 use pumi_geom::GeomEnt;
 use pumi_mesh::Topology;
 use pumi_pcu::{Comm, MsgError, MsgReader, MsgWriter};
@@ -544,13 +544,6 @@ pub fn migrate(
     stats
 }
 
-/// Sanity helper used by tests: every live entity has a gid.
-pub fn all_gids_present(part: &Part) -> bool {
-    Dim::ALL
-        .iter()
-        .all(|&d| part.mesh.iter(d).all(|e| part.gid_of(e) != NO_GID))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -602,7 +595,6 @@ mod tests {
 
             for p in &dm.parts {
                 p.mesh.assert_valid();
-                assert!(all_gids_present(p));
             }
             // Owned vertices still total the serial count.
             let owned_v: u64 = dm.global_sum(c, |p| {

@@ -1,108 +1,86 @@
-//! Two-level, architecture-aware mesh partitioning support (§II-D, Figs 5/6).
+//! The on-node vs off-node part boundary of two-level, architecture-aware
+//! partitioning (§II-D, Figs 5/6).
 //!
 //! "The partitioned mesh representation of PUMI is under improvement towards
 //! a hybrid mesh partitioning algorithm which involves first partitioning a
 //! mesh into nodes and subsequently to the cores on the nodes."
 //!
-//! Here a [`PartMap`] built by [`two_level_map`] places `cores_per_node`
-//! consecutive parts on each node (one part per core, the paper's
-//! process-per-node + thread-per-core mapping), and
-//! [`boundary_traffic_split`] classifies each part-boundary entity as
-//! on-node (dashed boundaries of Fig 3 — implicit in shared memory) or
-//! off-node (solid boundaries — explicit, duplicated in distributed
-//! memory).
+//! Once parts are placed on ranks (a [`PartMap`]) and ranks on nodes (a
+//! [`MachineModel`]), every part-boundary link is either on-node (dashed
+//! boundaries of Fig 3 — implicit in shared memory) or off-node (solid
+//! boundaries — explicit, duplicated in distributed memory).
+//! [`off_node_boundary`] is the one measure of that split: the
+//! hierarchical partitioner's part-graph weights count the same links, and
+//! the topology-aware ParMA tests and the benches measure with it.
+//!
+//! [`PartMap`]: crate::dist::PartMap
 
-use crate::dist::{DistMesh, PartMap};
-use crate::part::Part;
-use pumi_pcu::MachineModel;
-use pumi_util::Dim;
+use crate::dist::DistMesh;
+use pumi_pcu::{Comm, MachineModel};
 
-/// Build the part → rank map for a machine: part `i` on rank `i` (one part
-/// per core), ranks laid out node-major per the machine model.
-pub fn two_level_map(machine: MachineModel) -> PartMap {
-    PartMap::contiguous(machine.nranks(), machine.nranks())
-}
-
-/// Per-dimension counts of part-boundary entity copies split by link class.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+/// The on-/off-node split of the part-boundary surface. One link is one
+/// (non-ghost entity, remote copy) pair, so an entity on `k` parts
+/// contributes `k - 1` links on each of its copies; links are counted
+/// world-wide. Bytes are the gid-sized (8 B) proxy for what one boundary
+/// sync of that surface ships.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BoundarySplit {
-    /// Shared-entity copies whose remote parts are all on this node.
-    pub on_node: [usize; 4],
-    /// Shared-entity copies with at least one off-node remote part.
-    pub off_node: [usize; 4],
+    /// Boundary links whose two holders share a node.
+    pub on_copies: u64,
+    /// Boundary links whose two holders sit on different nodes.
+    pub off_copies: u64,
 }
 
 impl BoundarySplit {
-    /// Total on-node copies across dimensions.
-    pub fn on_node_total(&self) -> usize {
-        self.on_node.iter().sum()
+    /// On-node surface in proxy bytes (8 per link).
+    pub fn on_bytes(&self) -> u64 {
+        self.on_copies * 8
     }
 
-    /// Total off-node copies across dimensions.
-    pub fn off_node_total(&self) -> usize {
-        self.off_node.iter().sum()
+    /// Off-node surface in proxy bytes (8 per link).
+    pub fn off_bytes(&self) -> u64 {
+        self.off_copies * 8
     }
 }
 
-/// Classify the part-boundary entities of `part` against `machine`: an
-/// entity counts as *on-node* if every remote residence part lives on the
-/// same node as this part (Fig 6's implicit shared-memory boundary), and
-/// *off-node* otherwise.
-pub fn boundary_split(part: &Part, map: &PartMap, machine: MachineModel) -> BoundarySplit {
-    let my_node = machine.node_of(map.rank_of(part.id));
-    let mut out = BoundarySplit::default();
-    for (e, remotes) in part.shared_entities() {
-        let all_on_node = remotes
-            .iter()
-            .all(|&(q, _)| machine.node_of(map.rank_of(q)) == my_node);
-        let d = e.dim().as_usize();
-        if all_on_node {
-            out.on_node[d] += 1;
-        } else {
-            out.off_node[d] += 1;
+/// Measure the on-/off-node split of `dm`'s part-boundary surface under
+/// `machine`, classifying each link by the nodes hosting its two parts
+/// (`machine.node_of(dm.map.rank_of(part))`). Collective; every rank
+/// returns the same world total.
+pub fn off_node_boundary(comm: &Comm, dm: &DistMesh, machine: &MachineModel) -> BoundarySplit {
+    let mut on = 0u64;
+    let mut off = 0u64;
+    for p in &dm.parts {
+        let my_node = machine.node_of(dm.map.rank_of(p.id));
+        for (e, remotes) in p.shared_entities() {
+            if p.is_ghost(e) {
+                continue;
+            }
+            for &(q, _) in remotes {
+                if machine.node_of(dm.map.rank_of(q)) == my_node {
+                    on += 1;
+                } else {
+                    off += 1;
+                }
+            }
         }
     }
-    out
-}
-
-/// Aggregate [`boundary_split`] over the local parts of a distributed mesh.
-pub fn boundary_traffic_split(dm: &DistMesh, machine: MachineModel) -> BoundarySplit {
-    let mut total = BoundarySplit::default();
-    for part in &dm.parts {
-        let s = boundary_split(part, &dm.map, machine);
-        for d in 0..4 {
-            total.on_node[d] += s.on_node[d];
-            total.off_node[d] += s.off_node[d];
-        }
-    }
-    total
-}
-
-/// The fraction of a part's boundary vertices that are on-node — a quality
-/// measure for architecture-aware partitions (higher is better for hybrid
-/// execution).
-pub fn on_node_fraction(part: &Part, map: &PartMap, machine: MachineModel) -> f64 {
-    let s = boundary_split(part, map, machine);
-    let on = s.on_node[Dim::Vertex.as_usize()] as f64;
-    let off = s.off_node[Dim::Vertex.as_usize()] as f64;
-    if on + off == 0.0 {
-        1.0
-    } else {
-        on / (on + off)
+    BoundarySplit {
+        on_copies: comm.allreduce_sum_u64(on),
+        off_copies: comm.allreduce_sum_u64(off),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::distribute;
+    use crate::dist::{distribute, PartMap};
     use pumi_meshgen::tri_rect;
-    use pumi_pcu::{execute_on, MachineModel};
-    use pumi_util::{MeshEnt, PartId};
+    use pumi_pcu::{execute, execute_on};
+    use pumi_util::PartId;
 
-    /// 4 parts on a 2-node × 2-core machine, partitioned as quadrants:
-    /// parts 0,1 on node 0 and 2,3 on node 1. The boundary between 0 and 1
-    /// is on-node; boundaries crossing to 2,3 are off-node (Fig 6).
+    /// 4 quadrant parts on a 2-node × 2-core machine: parts 0,1 on node 0
+    /// and 2,3 on node 1. The x cut is on-node, the y cut off-node (Fig 6).
     #[test]
     fn fig6_on_vs_off_node_boundaries() {
         let machine = MachineModel::new(2, 2);
@@ -112,61 +90,69 @@ mod tests {
             let mut elem_part = vec![0 as PartId; serial.index_space(d)];
             for e in serial.iter(d) {
                 let cx = serial.centroid(e);
-                let px = if cx[0] < 0.5 { 0 } else { 1 };
-                let py = if cx[1] < 0.5 { 0 } else { 1 };
-                // x splits within a node, y splits across nodes.
-                elem_part[e.idx()] = (py * 2 + px) as PartId;
+                let px = u32::from(cx[0] >= 0.5);
+                let py = u32::from(cx[1] >= 0.5);
+                elem_part[e.idx()] = py * 2 + px;
             }
-            let map = two_level_map(machine);
-            let dm = distribute(c, map, &serial, &elem_part);
-            let part = &dm.parts[0];
-            let split = boundary_split(part, &dm.map, machine);
-
-            // Every part has both kinds of boundary in this layout.
-            assert!(split.on_node_total() > 0, "no on-node boundary found");
-            assert!(split.off_node_total() > 0, "no off-node boundary found");
-
-            // Check one specific entity: a vertex shared only with the
-            // sibling part on the same node must be on-node.
-            let my = part.id;
-            let sibling = my ^ 1;
-            let mut found = false;
-            for (e, remotes) in part.shared_entities() {
-                if e.dim() == pumi_util::Dim::Vertex
-                    && remotes.len() == 1
-                    && remotes[0].0 == sibling
-                {
-                    found = true;
-                }
-            }
-            assert!(found, "no vertex shared solely with the on-node sibling");
-            // The center vertex is shared with all parts → off-node.
-            let center = part
-                .mesh
-                .iter(pumi_util::Dim::Vertex)
-                .find(|&v| {
-                    let x = part.mesh.coords(v);
-                    (x[0] - 0.5).abs() < 1e-12 && (x[1] - 0.5).abs() < 1e-12
-                })
-                .map(|v: MeshEnt| part.residence(v));
-            assert_eq!(center.unwrap(), vec![0, 1, 2, 3]);
+            let dm = distribute(c, PartMap::contiguous(4, 4), &serial, &elem_part);
+            let split = off_node_boundary(c, &dm, &machine);
+            // Each cut line carries 5 vertices and 4 edges. The x cut
+            // (x = 0.5) splits 0|1 and 2|3 on-node: 4 two-part vertices and
+            // 4 edges, 2 links each. The y cut splits 0|2 and 1|3 off-node
+            // likewise. The centre vertex sits on all 4 parts: 4 copies ×
+            // 3 links, each copy with 1 on-node and 2 off-node links.
+            assert_eq!(split.on_copies, (4 + 4) * 2 + 4);
+            assert_eq!(split.off_copies, (4 + 4) * 2 + 8);
         });
     }
 
     #[test]
-    fn on_node_fraction_bounds() {
-        let machine = MachineModel::new(1, 2);
-        execute_on(machine, |c| {
+    fn single_node_has_no_off_node_surface() {
+        execute_on(MachineModel::new(1, 2), |c| {
             let serial = tri_rect(2, 2, 1.0, 1.0);
             let d = serial.elem_dim_t();
             let mut elem_part = vec![0 as PartId; serial.index_space(d)];
             for e in serial.iter(d) {
-                elem_part[e.idx()] = if serial.centroid(e)[0] < 0.5 { 0 } else { 1 };
+                elem_part[e.idx()] = u32::from(serial.centroid(e)[0] >= 0.5);
             }
-            let dm = distribute(c, two_level_map(machine), &serial, &elem_part);
-            // Single node: everything is on-node.
-            let f = on_node_fraction(&dm.parts[0], &dm.map, machine);
-            assert_eq!(f, 1.0);
+            let dm = distribute(c, PartMap::contiguous(2, 2), &serial, &elem_part);
+            let split = off_node_boundary(c, &dm, &c.machine());
+            assert_eq!(split.off_copies, 0);
+            assert!(split.on_copies > 0);
+        });
+    }
+
+    #[test]
+    fn flat_machine_has_no_on_node_surface() {
+        execute(4, |c| {
+            let serial = tri_rect(8, 8, 1.0, 1.0);
+            let labels = pumi_partition::partition_mesh(&serial, 4);
+            let dm = distribute(c, PartMap::contiguous(4, 4), &serial, &labels);
+            let split = off_node_boundary(c, &dm, &c.machine());
+            assert_eq!(split.on_copies, 0);
+            assert!(split.off_copies > 0);
+            assert_eq!(split.off_bytes(), split.off_copies * 8);
+        });
+    }
+
+    #[test]
+    fn links_sum_to_the_whole_boundary() {
+        execute_on(MachineModel::new(2, 2), |c| {
+            let serial = tri_rect(8, 8, 1.0, 1.0);
+            let labels = pumi_partition::partition_mesh(&serial, 4);
+            let dm = distribute(c, PartMap::contiguous(4, 4), &serial, &labels);
+            let split = off_node_boundary(c, &dm, &c.machine());
+            let mut total = 0u64;
+            for p in &dm.parts {
+                for (e, remotes) in p.shared_entities() {
+                    if !p.is_ghost(e) {
+                        total += remotes.len() as u64;
+                    }
+                }
+            }
+            let total = c.allreduce_sum_u64(total);
+            assert!(total > 0);
+            assert_eq!(split.on_copies + split.off_copies, total);
         });
     }
 }

@@ -26,8 +26,9 @@
 
 use crate::crc::crc32;
 use crate::error::{IoError, Section};
-use pumi_pcu::MsgWriter;
+use crate::format::SectionEntryV2;
 use pumi_util::PartId;
+use std::borrow::Borrow;
 use std::io::Write;
 
 /// Default raw-chunk size (bytes of uncompressed section stream per chunk).
@@ -134,19 +135,19 @@ pub fn decode_chunk(
     Ok(raw)
 }
 
-/// Reassemble a whole v2 section from in-memory file bytes: walk the chunk
-/// stream at `[offset, offset+disk_len)`, verifying and decompressing each
-/// chunk. Errors name the part, section, and damaged chunk.
-pub fn section_raw_bytes(
+/// Reassemble a whole section from in-memory file bytes: walk the chunk
+/// stream of `entry`, appending each chunk's raw bytes as
+/// `chunk(index, header, stored payload)` produces them — [`decode_chunk`],
+/// or a cache in front of it. Errors name the part, section, and damaged
+/// chunk.
+pub fn section_raw_bytes<B: Borrow<Vec<u8>>>(
     part: PartId,
-    section: Section,
     data: &[u8],
-    offset: u64,
-    disk_len: u64,
-    raw_len: u64,
-    nchunks: u32,
+    entry: &SectionEntryV2,
+    mut chunk: impl FnMut(u32, &ChunkHeader, &[u8]) -> Result<B, IoError>,
 ) -> Result<Vec<u8>, IoError> {
-    let end = offset.saturating_add(disk_len);
+    let section = entry.section;
+    let end = entry.offset.saturating_add(entry.disk_len);
     if end > data.len() as u64 {
         return Err(IoError::Truncated {
             part,
@@ -155,10 +156,10 @@ pub fn section_raw_bytes(
             have: data.len() as u64,
         });
     }
-    let mut out = Vec::with_capacity(raw_len as usize);
-    let mut at = offset as usize;
+    let mut out = Vec::with_capacity(entry.raw_len as usize);
+    let mut at = entry.offset as usize;
     let section_end = end as usize;
-    for idx in 0..nchunks {
+    for idx in 0..entry.nchunks {
         let hdr = parse_chunk_header(part, section, idx, &data[at..section_end])?;
         at += CHUNK_HEADER_LEN;
         let plen = hdr.disk_payload_len();
@@ -173,27 +174,26 @@ pub fn section_raw_bytes(
                 ),
             ));
         }
-        let raw = decode_chunk(part, section, idx, &hdr, &data[at..at + plen])?;
-        out.extend_from_slice(&raw);
+        out.extend_from_slice(chunk(idx, &hdr, &data[at..at + plen])?.borrow());
         at += plen;
     }
-    if out.len() as u64 != raw_len {
+    if out.len() as u64 != entry.raw_len {
         return Err(IoError::Decode {
             part,
             section,
             detail: format!(
-                "section reassembled to {} bytes, table promised {raw_len}",
-                out.len()
+                "section reassembled to {} bytes, table promised {}",
+                out.len(),
+                entry.raw_len
             ),
         });
     }
     Ok(out)
 }
 
-/// The typed-value sink the section encoders write through. Implemented by
-/// [`MsgWriter`] (v1 in-memory sections) and [`ChunkWriter`] (v2 streaming
-/// sections); the byte framing is identical, so one encoder serves both
-/// format versions.
+/// The typed-value sink the section encoders write through, implemented by
+/// [`ChunkWriter`] over any output stream. The byte framing is that of
+/// [`pumi_pcu::MsgWriter`], so sections decode with a `MsgReader`.
 pub trait SectionSink {
     /// Append raw bytes (no length prefix).
     fn put_raw(&mut self, b: &[u8]);
@@ -239,40 +239,6 @@ pub trait SectionSink {
         for &x in xs {
             self.put_f64(x);
         }
-    }
-}
-
-impl SectionSink for MsgWriter {
-    fn put_raw(&mut self, b: &[u8]) {
-        // MsgWriter has no raw append; length-free framing is reproduced
-        // byte-wise through the typed puts.
-        for &x in b {
-            MsgWriter::put_u8(self, x);
-        }
-    }
-    fn put_u8(&mut self, x: u8) {
-        MsgWriter::put_u8(self, x);
-    }
-    fn put_u32(&mut self, x: u32) {
-        MsgWriter::put_u32(self, x);
-    }
-    fn put_u64(&mut self, x: u64) {
-        MsgWriter::put_u64(self, x);
-    }
-    fn put_f64(&mut self, x: f64) {
-        MsgWriter::put_f64(self, x);
-    }
-    fn put_bytes(&mut self, b: &[u8]) {
-        MsgWriter::put_bytes(self, b);
-    }
-    fn put_u32_slice(&mut self, xs: &[u32]) {
-        MsgWriter::put_u32_slice(self, xs);
-    }
-    fn put_u64_slice(&mut self, xs: &[u64]) {
-        MsgWriter::put_u64_slice(self, xs);
-    }
-    fn put_f64_slice(&mut self, xs: &[f64]) {
-        MsgWriter::put_f64_slice(self, xs);
     }
 }
 
@@ -374,6 +340,25 @@ impl<W: Write> SectionSink for ChunkWriter<'_, W> {
 mod tests {
     use super::*;
 
+    /// Reassemble the single section written at the start of `file`.
+    fn reassemble(
+        part: PartId,
+        section: Section,
+        file: &[u8],
+        sec: ChunkedSection,
+    ) -> Result<Vec<u8>, IoError> {
+        let entry = SectionEntryV2 {
+            section,
+            offset: 0,
+            disk_len: sec.disk_len,
+            raw_len: sec.raw_len,
+            nchunks: sec.nchunks,
+        };
+        section_raw_bytes(part, file, &entry, |idx, hdr, p| {
+            decode_chunk(part, section, idx, hdr, p)
+        })
+    }
+
     #[test]
     fn chunk_stream_roundtrip() {
         let mut file: Vec<u8> = Vec::new();
@@ -387,16 +372,7 @@ mod tests {
         assert!(sec.nchunks > 3, "expected multiple chunks: {sec:?}");
         assert_eq!(sec.raw_len, 4000 * 16);
         assert!(sec.disk_len < sec.raw_len, "compressible data must shrink");
-        let raw = section_raw_bytes(
-            0,
-            Section::Entities,
-            &file,
-            0,
-            sec.disk_len,
-            sec.raw_len,
-            sec.nchunks,
-        )
-        .expect("reassemble");
+        let raw = reassemble(0, Section::Entities, &file, sec).expect("reassemble");
         let mut r = pumi_pcu::MsgReader::from_vec(raw);
         for i in 0..4000u64 {
             assert_eq!(r.try_get_u64().unwrap(), i);
@@ -415,16 +391,7 @@ mod tests {
             w.put_u64(i);
         }
         let sec = w.finish_section().expect("io");
-        let raw = section_raw_bytes(
-            3,
-            Section::Tags,
-            &file,
-            0,
-            sec.disk_len,
-            sec.raw_len,
-            sec.nchunks,
-        )
-        .expect("reassemble");
+        let raw = reassemble(3, Section::Tags, &file, sec).expect("reassemble");
         let mut r = pumi_pcu::MsgReader::from_vec(raw);
         for i in 0..2000u64 {
             assert_eq!(r.try_get_u8().unwrap(), i as u8);
@@ -444,16 +411,7 @@ mod tests {
         let hdr0 = parse_chunk_header(1, Section::Fields, 0, &file).unwrap();
         let c1_at = CHUNK_HEADER_LEN + hdr0.disk_payload_len();
         file[c1_at + CHUNK_HEADER_LEN + 5] ^= 0x08;
-        let err = section_raw_bytes(
-            1,
-            Section::Fields,
-            &file,
-            0,
-            sec.disk_len,
-            sec.raw_len,
-            sec.nchunks,
-        )
-        .expect_err("corruption must surface");
+        let err = reassemble(1, Section::Fields, &file, sec).expect_err("corruption must surface");
         match err {
             IoError::BadChunk {
                 part: 1,
@@ -477,16 +435,8 @@ mod tests {
         // passes, so the decompressed-length comparison must catch it.
         let bogus = (4096u32 - 9).to_le_bytes();
         file[0..4].copy_from_slice(&bogus);
-        let err = section_raw_bytes(
-            2,
-            Section::Entities,
-            &file,
-            0,
-            sec.disk_len,
-            sec.raw_len,
-            sec.nchunks,
-        )
-        .expect_err("length lie must surface");
+        let err =
+            reassemble(2, Section::Entities, &file, sec).expect_err("length lie must surface");
         assert!(
             matches!(
                 err,
@@ -510,16 +460,8 @@ mod tests {
         }
         let sec = w.finish_section().expect("io");
         let cut = file.len() - 20;
-        let err = section_raw_bytes(
-            4,
-            Section::Remotes,
-            &file[..cut],
-            0,
-            sec.disk_len,
-            sec.raw_len,
-            sec.nchunks,
-        )
-        .expect_err("truncation must surface");
+        let err = reassemble(4, Section::Remotes, &file[..cut], sec)
+            .expect_err("truncation must surface");
         // Either the section bound or the last chunk's payload is short —
         // both carry the typed location.
         match err {

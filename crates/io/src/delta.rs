@@ -20,8 +20,7 @@
 use crate::chunk::SectionSink;
 use crate::error::{IoError, Section};
 use crate::format::{
-    delta_dir, parse_part_any, part_file_path, AnyPartHeader, Manifest, FLAG_DELTA,
-    FORMAT_VERSION_V2, MANIFEST_FILE,
+    delta_dir, parse_part_header_v2, part_file_path, Manifest, FLAG_DELTA, MANIFEST_FILE,
 };
 use crate::read::{decode_fields, decode_remotes, decode_tags, section_bytes, LoadedPart};
 use crate::write::{write_part_file_v2, SectionEnc, WriteStats};
@@ -220,15 +219,6 @@ pub fn write_delta_checkpoint_with(
     }
     let manifest = crate::read::manifest_bcast(comm, dir)?;
     let mut local_err: Option<IoError> = None;
-    if manifest.version != FORMAT_VERSION_V2 {
-        local_err = Some(IoError::Manifest {
-            path: dir.join(MANIFEST_FILE),
-            detail: format!(
-                "delta checkpoints require a v2 base (found version {})",
-                manifest.version
-            ),
-        });
-    }
     if manifest.nparts as usize != dm.map.nparts() {
         local_err = Some(IoError::Manifest {
             path: dir.join(MANIFEST_FILE),
@@ -370,16 +360,13 @@ pub(crate) fn replay_deltas(
             path: path.clone(),
             source: e,
         })?;
-        let header = parse_part_any(fpart, &data)?;
-        let h = match &header {
-            AnyPartHeader::V2(h) if h.is_delta() => h,
-            _ => {
-                return Err(IoError::Header {
-                    part: fpart,
-                    detail: format!("delta round {k}: not a v2 delta part file"),
-                })
-            }
-        };
+        let h = parse_part_header_v2(fpart, &data)?;
+        if !h.is_delta() {
+            return Err(IoError::Header {
+                part: fpart,
+                detail: format!("delta round {k}: not a delta part file"),
+            });
+        }
         if h.elem_dim as usize != elem_dim {
             return Err(IoError::Header {
                 part: fpart,
@@ -396,11 +383,11 @@ pub(crate) fn replay_deltas(
             elem_dim,
             skip_ghosts,
             &mut ghost_map,
-            &mut |s| section_bytes(fpart, &data, &header, s),
+            &mut |s| section_bytes(fpart, &data, &h, s),
         )?;
 
         // 4. Boundary links are replaced wholesale.
-        let payload = section_bytes(fpart, &data, &header, Section::Remotes)?;
+        let payload = section_bytes(fpart, &data, &h, Section::Remotes)?;
         lp.res_rows = decode_remotes(fpart, payload, remap)?;
 
         lp.gid_counter = lp.gid_counter.max(h.gid_counter);

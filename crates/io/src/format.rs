@@ -3,27 +3,7 @@
 //! A checkpoint is a directory: one `manifest.pmb` plus one
 //! `part_<id>.pmb` per part. All integers are little-endian.
 //!
-//! Part file:
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic "PMBP"
-//! 4       4     format version (u32)
-//! 8       4     part id (u32)
-//! 12      4     element dimension (u32)
-//! 16      8     fresh-gid counter (u64)
-//! 24      4     section count n (u32)
-//! 28      21*n  section table: (kind u8, offset u64, len u64, crc32 u32)
-//! 28+21n  4     crc32 of bytes [0, 28+21n)
-//! ...           section payloads (offsets are absolute)
-//! ```
-//!
-//! The header + table carry their own CRC so a damaged table is detected
-//! before any offset is trusted; each payload carries a CRC checked before
-//! decoding. Section payloads are [`pumi_pcu::MsgWriter`] streams — the same
-//! encoding migration uses on the wire.
-//!
-//! Version 2 part file (streaming, compressed):
+//! Part file (format version 2: streaming, chunked, compressed):
 //!
 //! ```text
 //! offset  size  field
@@ -43,11 +23,15 @@
 //!         4     crc32 of the table bytes before it
 //! ```
 //!
-//! The v2 writer streams chunks as encoders produce them, records where
-//! each section landed, appends the table at the end, and seeks back to
-//! rewrite the 44-byte header — so a part's serialized image is never held
-//! in memory. Section *content* encoding is identical to v1; only the
-//! payload container (chunked + LZ4 + per-chunk CRC) differs.
+//! The header and the table carry their own CRCs, so a damaged table is
+//! detected before any offset is trusted; each chunk carries a CRC checked
+//! before decompression. Section content is a [`pumi_pcu::MsgWriter`]
+//! stream — the same encoding migration uses on the wire. The writer
+//! streams chunks as encoders produce them, records where each section
+//! landed, appends the table at the end, and seeks back to rewrite the
+//! 44-byte header — so a part's serialized image is never held in memory.
+//! A part file or manifest claiming any other version (such as the retired
+//! flat version 1) is a typed header error.
 //!
 //! Manifest file:
 //!
@@ -56,11 +40,11 @@
 //! ```
 //!
 //! where `body` holds part count, element dimension, writer world size,
-//! global owned entity counts, a ghost flag, and the field descriptors.
+//! global owned entity counts, a ghost flag, the field descriptors, and
+//! the delta-round count.
 
 use crate::crc::crc32;
 use crate::error::{IoError, Section};
-use bytes::Bytes;
 use pumi_field::FieldShape;
 use pumi_pcu::{MsgReader, MsgWriter};
 use pumi_util::PartId;
@@ -70,17 +54,14 @@ use std::path::{Path, PathBuf};
 pub const PART_MAGIC: [u8; 4] = *b"PMBP";
 /// Magic bytes opening the manifest.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"PMBM";
-/// The original (uncompressed, in-memory) format version.
-pub const FORMAT_VERSION: u32 = 1;
-/// The chunked/compressed streaming format version.
+/// The format version of every part file and manifest (chunked,
+/// compressed, streaming).
 pub const FORMAT_VERSION_V2: u32 = 2;
 /// The manifest file name inside a checkpoint directory.
 pub const MANIFEST_FILE: &str = "manifest.pmb";
 /// v2 header flag bit: this part file is a *delta* against a base snapshot.
 pub const FLAG_DELTA: u32 = 1;
 
-const HEADER_FIXED: usize = 28;
-const TABLE_ENTRY: usize = 21;
 /// Fixed v2 header length (the trailing 4 bytes are its CRC).
 pub const HEADER_V2_LEN: usize = 44;
 const TABLE_ENTRY_V2: usize = 29;
@@ -95,169 +76,12 @@ pub fn part_file_path(dir: &Path, part: PartId) -> PathBuf {
     dir.join(part_file_name(part))
 }
 
-/// One row of a parsed section table.
-#[derive(Debug, Clone, Copy)]
-pub struct SectionEntry {
-    /// Which section this is.
-    pub section: Section,
-    /// Absolute byte offset of the payload.
-    pub offset: u64,
-    /// Payload length in bytes.
-    pub len: u64,
-    /// CRC-32 of the payload.
-    pub crc: u32,
-}
-
-/// A parsed part-file header.
-#[derive(Debug)]
-pub struct PartHeader {
-    /// The part id recorded in the file.
-    pub part: PartId,
-    /// Element dimension of the part's mesh.
-    pub elem_dim: u32,
-    /// The part's fresh-gid counter at write time.
-    pub gid_counter: u64,
-    /// The section table, in file order.
-    pub sections: Vec<SectionEntry>,
-}
-
-/// Assemble a complete part file from section payloads.
-pub fn encode_part_file(
-    part: PartId,
-    elem_dim: u32,
-    gid_counter: u64,
-    sections: &[(Section, Bytes)],
-) -> Vec<u8> {
-    let table_len = HEADER_FIXED + TABLE_ENTRY * sections.len() + 4;
-    let total: usize = table_len + sections.iter().map(|(_, b)| b.len()).sum::<usize>();
-    let mut out = Vec::with_capacity(total);
-    out.extend_from_slice(&PART_MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&part.to_le_bytes());
-    out.extend_from_slice(&elem_dim.to_le_bytes());
-    out.extend_from_slice(&gid_counter.to_le_bytes());
-    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-    let mut offset = table_len as u64;
-    for (s, payload) in sections {
-        out.push(s.to_u8());
-        out.extend_from_slice(&offset.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
-        offset += payload.len() as u64;
-    }
-    let hcrc = crc32(&out);
-    out.extend_from_slice(&hcrc.to_le_bytes());
-    for (_, payload) in sections {
-        out.extend_from_slice(payload);
-    }
-    debug_assert_eq!(out.len(), total);
-    out
-}
-
 fn get_u32(data: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(data[at..at + 4].try_into().expect("bounds checked"))
 }
 
 fn get_u64(data: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(data[at..at + 8].try_into().expect("bounds checked"))
-}
-
-/// Parse and checksum-verify a part file's header and section table.
-/// `part` is the id implied by the file name; the header must agree.
-pub fn parse_part_header(part: PartId, data: &[u8]) -> Result<PartHeader, IoError> {
-    let header_err = |detail: String| IoError::Header { part, detail };
-    if data.len() < HEADER_FIXED + 4 {
-        return Err(header_err(format!(
-            "file too short for a header: {} bytes",
-            data.len()
-        )));
-    }
-    if data[0..4] != PART_MAGIC {
-        return Err(header_err("bad magic (not a .pmb part file)".into()));
-    }
-    let version = get_u32(data, 4);
-    if version != FORMAT_VERSION {
-        return Err(header_err(format!(
-            "unsupported format version {version} (reader supports {FORMAT_VERSION})"
-        )));
-    }
-    let file_part = get_u32(data, 8);
-    if file_part != part {
-        return Err(header_err(format!(
-            "header names part {file_part}, expected {part}"
-        )));
-    }
-    let elem_dim = get_u32(data, 12);
-    let gid_counter = get_u64(data, 16);
-    let nsections = get_u32(data, 24) as usize;
-    let table_end = HEADER_FIXED + TABLE_ENTRY * nsections;
-    if data.len() < table_end + 4 {
-        return Err(header_err(format!(
-            "section table truncated: {} sections need {} bytes, have {}",
-            nsections,
-            table_end + 4,
-            data.len()
-        )));
-    }
-    let stored = get_u32(data, table_end);
-    let actual = crc32(&data[..table_end]);
-    if stored != actual {
-        return Err(header_err(format!(
-            "header CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"
-        )));
-    }
-    let mut sections = Vec::with_capacity(nsections);
-    for i in 0..nsections {
-        let at = HEADER_FIXED + TABLE_ENTRY * i;
-        let section = Section::from_u8(data[at])
-            .ok_or_else(|| header_err(format!("unknown section code {}", data[at])))?;
-        sections.push(SectionEntry {
-            section,
-            offset: get_u64(data, at + 1),
-            len: get_u64(data, at + 9),
-            crc: get_u32(data, at + 17),
-        });
-    }
-    Ok(PartHeader {
-        part,
-        elem_dim,
-        gid_counter,
-        sections,
-    })
-}
-
-/// Slice out a section payload, verifying bounds and checksum.
-pub fn section_payload<'a>(
-    part: PartId,
-    data: &'a [u8],
-    entry: &SectionEntry,
-) -> Result<&'a [u8], IoError> {
-    let end = entry.offset.saturating_add(entry.len);
-    if end > data.len() as u64 {
-        return Err(IoError::Truncated {
-            part,
-            section: entry.section,
-            needed: end,
-            have: data.len() as u64,
-        });
-    }
-    let payload = &data[entry.offset as usize..end as usize];
-    if crc32(payload) != entry.crc {
-        return Err(IoError::BadChecksum {
-            part,
-            section: entry.section,
-        });
-    }
-    Ok(payload)
-}
-
-/// Find a section's table entry.
-pub fn find_section(header: &PartHeader, section: Section) -> Option<SectionEntry> {
-    header
-        .sections
-        .iter()
-        .copied()
-        .find(|e| e.section == section)
 }
 
 /// One row of a parsed v2 section table: a chunked, compressed payload.
@@ -296,9 +120,17 @@ impl PartHeaderV2 {
         self.flags & FLAG_DELTA != 0
     }
 
-    /// Find a section's table entry.
-    pub fn find(&self, section: Section) -> Option<SectionEntryV2> {
-        self.sections.iter().copied().find(|e| e.section == section)
+    /// Find a section's table entry; a missing section is a typed header
+    /// error.
+    pub fn find(&self, section: Section) -> Result<SectionEntryV2, IoError> {
+        self.sections
+            .iter()
+            .copied()
+            .find(|e| e.section == section)
+            .ok_or_else(|| IoError::Header {
+                part: self.part,
+                detail: format!("missing section '{}'", section.name()),
+            })
     }
 }
 
@@ -343,24 +175,6 @@ pub fn encode_table_v2(entries: &[SectionEntryV2]) -> Vec<u8> {
     out
 }
 
-/// The format version a part file claims (checked before full parsing so
-/// the reader can dispatch v1 vs v2).
-pub fn peek_part_version(part: PartId, data: &[u8]) -> Result<u32, IoError> {
-    if data.len() < 8 {
-        return Err(IoError::Header {
-            part,
-            detail: format!("file too short for a header: {} bytes", data.len()),
-        });
-    }
-    if data[0..4] != PART_MAGIC {
-        return Err(IoError::Header {
-            part,
-            detail: "bad magic (not a .pmb part file)".into(),
-        });
-    }
-    Ok(get_u32(data, 4))
-}
-
 /// Parse and checksum-verify a v2 part file's header and section table.
 pub fn parse_part_header_v2(part: PartId, data: &[u8]) -> Result<PartHeaderV2, IoError> {
     let header_err = |detail: String| IoError::Header { part, detail };
@@ -376,7 +190,7 @@ pub fn parse_part_header_v2(part: PartId, data: &[u8]) -> Result<PartHeaderV2, I
     let version = get_u32(data, 4);
     if version != FORMAT_VERSION_V2 {
         return Err(header_err(format!(
-            "not a v2 part file (version {version})"
+            "unsupported format version {version} (reader supports {FORMAT_VERSION_V2})"
         )));
     }
     let stored = get_u32(data, 40);
@@ -442,47 +256,6 @@ pub fn parse_part_header_v2(part: PartId, data: &[u8]) -> Result<PartHeaderV2, I
     })
 }
 
-/// A part header of either format version.
-#[derive(Debug)]
-pub enum AnyPartHeader {
-    /// Version 1: flat sections with whole-payload CRCs.
-    V1(PartHeader),
-    /// Version 2: chunked, compressed sections.
-    V2(PartHeaderV2),
-}
-
-impl AnyPartHeader {
-    /// Element dimension recorded in the file.
-    pub fn elem_dim(&self) -> u32 {
-        match self {
-            AnyPartHeader::V1(h) => h.elem_dim,
-            AnyPartHeader::V2(h) => h.elem_dim,
-        }
-    }
-
-    /// Fresh-gid counter recorded in the file.
-    pub fn gid_counter(&self) -> u64 {
-        match self {
-            AnyPartHeader::V1(h) => h.gid_counter,
-            AnyPartHeader::V2(h) => h.gid_counter,
-        }
-    }
-}
-
-/// Parse a part file of either version, dispatching on the version field.
-pub fn parse_part_any(part: PartId, data: &[u8]) -> Result<AnyPartHeader, IoError> {
-    match peek_part_version(part, data)? {
-        FORMAT_VERSION => Ok(AnyPartHeader::V1(parse_part_header(part, data)?)),
-        FORMAT_VERSION_V2 => Ok(AnyPartHeader::V2(parse_part_header_v2(part, data)?)),
-        v => Err(IoError::Header {
-            part,
-            detail: format!(
-                "unsupported format version {v} (reader supports {FORMAT_VERSION} and {FORMAT_VERSION_V2})"
-            ),
-        }),
-    }
-}
-
 /// A field's descriptor in the manifest (enough to rebuild the `Field`
 /// template on any rank count).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -517,8 +290,6 @@ pub fn shape_from_u8(x: u8) -> Option<FieldShape> {
 /// The checkpoint manifest written by rank 0.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// Format version of the checkpoint's part files (1 or 2).
-    pub version: u32,
     /// Number of parts in the checkpoint (= number of part files).
     pub nparts: u32,
     /// Element dimension of the mesh.
@@ -531,8 +302,8 @@ pub struct Manifest {
     pub has_ghosts: bool,
     /// Field descriptors, in write order.
     pub fields: Vec<FieldDesc>,
-    /// Number of delta rounds appended after the base snapshot (v2 only;
-    /// delta `k` lives in `delta_<k:04>/` under the checkpoint directory).
+    /// Number of delta rounds appended after the base snapshot (delta `k`
+    /// lives in `delta_<k:04>/` under the checkpoint directory).
     pub delta_count: u32,
 }
 
@@ -552,13 +323,11 @@ pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
         w.put_u8(shape_to_u8(f.shape));
         w.put_u32(f.ncomp);
     }
-    if m.version >= FORMAT_VERSION_V2 {
-        w.put_u32(m.delta_count);
-    }
+    w.put_u32(m.delta_count);
     let body = w.finish();
     let mut out = Vec::with_capacity(12 + body.len() + 4);
     out.extend_from_slice(&MANIFEST_MAGIC);
-    out.extend_from_slice(&m.version.to_le_bytes());
+    out.extend_from_slice(&FORMAT_VERSION_V2.to_le_bytes());
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
     out.extend_from_slice(&body);
     out.extend_from_slice(&crc32(&body).to_le_bytes());
@@ -579,7 +348,7 @@ pub fn parse_manifest(path: &Path, data: &[u8]) -> Result<Manifest, IoError> {
         return Err(err("bad magic (not a .pmb manifest)".into()));
     }
     let version = get_u32(data, 4);
-    if version != FORMAT_VERSION && version != FORMAT_VERSION_V2 {
+    if version != FORMAT_VERSION_V2 {
         return Err(err(format!("unsupported format version {version}")));
     }
     let body_len = get_u32(data, 8) as usize;
@@ -618,11 +387,7 @@ pub fn parse_manifest(path: &Path, data: &[u8]) -> Result<Manifest, IoError> {
         let ncomp = r.try_get_u32().map_err(parse)?;
         fields.push(FieldDesc { name, shape, ncomp });
     }
-    let delta_count = if version >= FORMAT_VERSION_V2 {
-        r.try_get_u32().map_err(parse)?
-    } else {
-        0
-    };
+    let delta_count = r.try_get_u32().map_err(parse)?;
     if nparts == 0 {
         return Err(err("zero parts".into()));
     }
@@ -630,7 +395,6 @@ pub fn parse_manifest(path: &Path, data: &[u8]) -> Result<Manifest, IoError> {
         return Err(err(format!("bad element dimension {elem_dim}")));
     }
     Ok(Manifest {
-        version,
         nparts,
         elem_dim,
         nranks_at_write,
@@ -651,69 +415,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn part_header_roundtrip() {
-        let sections = vec![
-            (Section::Entities, Bytes::from(vec![1u8, 2, 3])),
-            (Section::Remotes, Bytes::from(vec![4u8; 10])),
-        ];
-        let file = encode_part_file(7, 3, 42, &sections);
-        let h = parse_part_header(7, &file).expect("parse");
-        assert_eq!(h.part, 7);
-        assert_eq!(h.elem_dim, 3);
-        assert_eq!(h.gid_counter, 42);
-        assert_eq!(h.sections.len(), 2);
-        let e = find_section(&h, Section::Entities).expect("entities entry");
-        assert_eq!(section_payload(7, &file, &e).expect("payload"), &[1, 2, 3]);
-        let r = find_section(&h, Section::Remotes).expect("remotes entry");
-        assert_eq!(section_payload(7, &file, &r).expect("payload"), &[4u8; 10]);
-    }
-
-    #[test]
-    fn flipped_header_byte_is_detected() {
-        let mut file = encode_part_file(1, 2, 0, &[(Section::Entities, Bytes::from(vec![9u8]))]);
-        file[13] ^= 0x10; // inside elem_dim, covered by the header CRC
-        assert!(matches!(
-            parse_part_header(1, &file),
-            Err(IoError::Header { part: 1, .. })
-        ));
-    }
-
-    #[test]
-    fn flipped_payload_byte_is_bad_checksum() {
-        let mut file = encode_part_file(2, 2, 0, &[(Section::Tags, Bytes::from(vec![5u8; 20]))]);
-        let n = file.len();
-        file[n - 1] ^= 0xFF;
-        let h = parse_part_header(2, &file).expect("header still fine");
-        let e = find_section(&h, Section::Tags).expect("entry");
-        assert!(matches!(
-            section_payload(2, &file, &e),
-            Err(IoError::BadChecksum {
-                part: 2,
-                section: Section::Tags
-            })
-        ));
-    }
-
-    #[test]
-    fn truncated_payload_is_reported() {
-        let file = encode_part_file(3, 2, 0, &[(Section::Fields, Bytes::from(vec![5u8; 20]))]);
-        let cut = &file[..file.len() - 6];
-        let h = parse_part_header(3, cut).expect("header intact");
-        let e = find_section(&h, Section::Fields).expect("entry");
-        assert!(matches!(
-            section_payload(3, cut, &e),
-            Err(IoError::Truncated {
-                part: 3,
-                section: Section::Fields,
-                ..
-            })
-        ));
-    }
-
-    #[test]
     fn manifest_roundtrip() {
         let m = Manifest {
-            version: FORMAT_VERSION,
             nparts: 8,
             elem_dim: 3,
             nranks_at_write: 4,
@@ -731,23 +434,6 @@ mod tests {
                     ncomp: 1,
                 },
             ],
-            delta_count: 0,
-        };
-        let bytes = encode_manifest(&m);
-        let back = parse_manifest(Path::new("manifest.pmb"), &bytes).expect("parse");
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn manifest_v2_roundtrips_delta_count() {
-        let m = Manifest {
-            version: FORMAT_VERSION_V2,
-            nparts: 4,
-            elem_dim: 2,
-            nranks_at_write: 4,
-            owned_counts: [50, 120, 71, 0],
-            has_ghosts: false,
-            fields: vec![],
             delta_count: 3,
         };
         let bytes = encode_manifest(&m);
@@ -790,10 +476,13 @@ mod tests {
         let d = h.find(Section::Deleted).expect("deleted entry");
         assert_eq!(d.raw_len, 64);
         assert_eq!(d.nchunks, 1);
-        match parse_part_any(9, &file).expect("any") {
-            AnyPartHeader::V2(h2) => assert_eq!(h2.gid_counter, 77),
-            other => panic!("expected v2, got {other:?}"),
-        }
+        // A file claiming format version 1 is a typed Header error.
+        let mut v1 = file.clone();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            parse_part_header_v2(9, &v1),
+            Err(IoError::Header { part: 9, detail }) if detail.contains("unsupported format version 1")
+        ));
         // Damaged header byte → typed Header error before any offset is used.
         let mut bad = file.clone();
         bad[30] ^= 0x40;
@@ -814,7 +503,6 @@ mod tests {
     #[test]
     fn manifest_corruption_detected() {
         let m = Manifest {
-            version: FORMAT_VERSION,
             nparts: 2,
             elem_dim: 2,
             nranks_at_write: 2,
@@ -824,6 +512,12 @@ mod tests {
             delta_count: 0,
         };
         let mut bytes = encode_manifest(&m);
+        let mut v1 = bytes.clone();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            parse_manifest(Path::new("m"), &v1),
+            Err(IoError::Manifest { detail, .. }) if detail.contains("unsupported format version 1")
+        ));
         bytes[14] ^= 1;
         assert!(matches!(
             parse_manifest(Path::new("m"), &bytes),

@@ -9,7 +9,7 @@
 //! ```text
 //! checkpoint-dir/
 //!   manifest.pmb       nparts, elem_dim, owned counts, field descriptors
-//!   part_00000.pmb     entities | remotes | tags | fields   (+ CRC-32s)
+//!   part_00000.pmb     entities | remotes | tags | fields   (LZ4 chunks + CRC-32s)
 //!   part_00001.pmb
 //!   ...
 //! ```
@@ -49,7 +49,7 @@ pub fn staged_field_tag(name: &str) -> String {
 
 pub use delta::{write_delta_checkpoint, write_delta_checkpoint_with, DeltaOpts};
 pub use error::{IoError, Section};
-pub use format::{FieldDesc, Manifest, FORMAT_VERSION, FORMAT_VERSION_V2, MANIFEST_FILE};
+pub use format::{FieldDesc, Manifest, FORMAT_VERSION_V2, MANIFEST_FILE};
 pub use hash::struct_hash;
 pub use read::{
     load_standalone_part, read_checkpoint, read_checkpoint_with, ReadOpts, ReadStats, Restored,

@@ -7,20 +7,17 @@
 //! allreduce) so every rank returns an `Err` together instead of leaving
 //! peers blocked in the manifest reduction.
 //!
-//! Two container versions share one set of section encoders (generic over
-//! [`SectionSink`]): v1 buffers each section in memory and writes a flat
-//! file; v2 (the default) streams LZ4-compressed, CRC'd chunks straight to
-//! disk, so peak memory is one chunk regardless of part size.
+//! The section encoders write through [`SectionSink`] into LZ4-compressed,
+//! CRC'd chunks streamed straight to disk, so peak memory is one chunk
+//! regardless of part size.
 
 use crate::chunk::{ChunkWriter, SectionSink, DEFAULT_CHUNK_LEN};
 use crate::error::{IoError, Section};
 use crate::format::{
-    encode_header_v2, encode_manifest, encode_part_file, encode_table_v2, part_file_path,
-    FieldDesc, Manifest, SectionEntryV2, FORMAT_VERSION, FORMAT_VERSION_V2, HEADER_V2_LEN,
-    MANIFEST_FILE,
+    encode_header_v2, encode_manifest, encode_table_v2, part_file_path, FieldDesc, Manifest,
+    SectionEntryV2, HEADER_V2_LEN, MANIFEST_FILE,
 };
 use crate::FIELD_TAG_PREFIX;
-use bytes::Bytes;
 use pumi_core::DistMesh;
 use pumi_field::{DistField, Field};
 use pumi_pcu::{Comm, MsgWriter};
@@ -43,17 +40,13 @@ pub struct WriteStats {
 /// Options for [`write_checkpoint_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct WriteOpts {
-    /// Container version: [`FORMAT_VERSION`] (flat, uncompressed) or
-    /// [`FORMAT_VERSION_V2`] (chunked, compressed, streaming).
-    pub version: u32,
-    /// Raw bytes per chunk for v2 (clamped to ≥ 4 KiB).
+    /// Raw bytes per chunk (clamped to ≥ 4 KiB).
     pub chunk_len: usize,
 }
 
 impl Default for WriteOpts {
     fn default() -> Self {
         WriteOpts {
-            version: FORMAT_VERSION_V2,
             chunk_len: DEFAULT_CHUNK_LEN,
         }
     }
@@ -171,41 +164,6 @@ fn encode_fields(part: &pumi_core::Part, fields: &[&Field], w: &mut dyn SectionS
     }
 }
 
-fn finish_section_bytes(f: impl FnOnce(&mut dyn SectionSink)) -> Bytes {
-    let mut w = MsgWriter::new();
-    f(&mut w);
-    w.finish()
-}
-
-/// Serialize one part (plus its slice of each field) to v1 `.pmb` file
-/// bytes (flat sections, whole image in memory).
-pub fn encode_part(part: &pumi_core::Part, fields: &[&Field]) -> Vec<u8> {
-    let sections = vec![
-        (
-            Section::Entities,
-            finish_section_bytes(|w| encode_entities(part, w)),
-        ),
-        (
-            Section::Remotes,
-            finish_section_bytes(|w| encode_remotes(part, w)),
-        ),
-        (
-            Section::Tags,
-            finish_section_bytes(|w| encode_tags(part, w)),
-        ),
-        (
-            Section::Fields,
-            finish_section_bytes(|w| encode_fields(part, fields, w)),
-        ),
-    ];
-    encode_part_file(
-        part.id,
-        part.mesh.elem_dim() as u32,
-        part.gid_counter(),
-        &sections,
-    )
-}
-
 /// A section's identity plus the encoder that produces its content.
 pub(crate) type SectionEnc<'a> = (Section, Box<dyn Fn(&mut dyn SectionSink) + 'a>);
 
@@ -318,8 +276,8 @@ pub fn write_checkpoint(
     write_checkpoint_with(comm, dm, fields, dir, &WriteOpts::default())
 }
 
-/// [`write_checkpoint`] with explicit container options (format version,
-/// chunk size). `opts` must agree across ranks.
+/// [`write_checkpoint`] with explicit container options (chunk size).
+/// `opts` must agree across ranks.
 pub fn write_checkpoint_with(
     comm: &Comm,
     dm: &DistMesh,
@@ -328,11 +286,6 @@ pub fn write_checkpoint_with(
     opts: &WriteOpts,
 ) -> Result<WriteStats, IoError> {
     let _span = pumi_obs::span!("io.write");
-    assert!(
-        opts.version == FORMAT_VERSION || opts.version == FORMAT_VERSION_V2,
-        "unknown .pmb version {}",
-        opts.version
-    );
     for df in fields {
         assert_eq!(df.len(), dm.parts.len(), "field not aligned with dm.parts");
     }
@@ -349,23 +302,15 @@ pub fn write_checkpoint_with(
         for (slot, part) in dm.parts.iter().enumerate() {
             let pfields: Vec<&Field> = fields.iter().map(|df| &df[slot]).collect();
             let path = part_file_path(dir, part.id);
-            let wrote = if opts.version == FORMAT_VERSION {
-                let data = encode_part(part, &pfields);
-                std::fs::write(&path, &data)
-                    .map(|()| data.len() as u64)
-                    .map_err(|e| IoError::Io { path, source: e })
-            } else {
-                let sections = full_sections(part, &pfields);
-                write_part_file_v2(
-                    &path,
-                    part.id,
-                    part.mesh.elem_dim() as u32,
-                    part.gid_counter(),
-                    0,
-                    opts.chunk_len,
-                    &sections,
-                )
-            };
+            let wrote = write_part_file_v2(
+                &path,
+                part.id,
+                part.mesh.elem_dim() as u32,
+                part.gid_counter(),
+                0,
+                opts.chunk_len,
+                &full_sections(part, &pfields),
+            );
             match wrote {
                 Ok(n) => {
                     bytes_local += n;
@@ -451,7 +396,6 @@ pub fn write_checkpoint_with(
             }
         }
         let manifest = Manifest {
-            version: opts.version,
             nparts: dm.map.nparts() as u32,
             elem_dim,
             nranks_at_write: comm.nranks() as u32,

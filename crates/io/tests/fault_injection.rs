@@ -3,40 +3,29 @@
 //! never a panic, and never a deadlock (peers exit with `PeerFailed`).
 
 use pumi_core::{distribute, PartMap};
-use pumi_io::format::{find_section, parse_part_header, parse_part_header_v2, part_file_path};
-use pumi_io::{read_checkpoint, write_checkpoint_with, IoError, Section, WriteOpts};
+use pumi_io::chunk::{
+    decode_chunk, section_raw_bytes, ChunkWriter, SectionSink, DEFAULT_CHUNK_LEN,
+};
+use pumi_io::format::{
+    encode_header_v2, encode_table_v2, parse_part_header_v2, part_file_path, SectionEntryV2,
+    HEADER_V2_LEN,
+};
+use pumi_io::{read_checkpoint, write_checkpoint, IoError, Section};
 use pumi_meshgen::tri_rect;
 use pumi_partition::partition_mesh;
 use pumi_pcu::execute;
 use std::path::PathBuf;
 
-fn write_small_with(name: &str, opts: WriteOpts) -> PathBuf {
+fn write_small(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pumi_io_fault_{}_{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let serial = tri_rect(8, 6, 1.0, 1.0);
     execute(2, |c| {
         let labels = partition_mesh(&serial, 2);
         let dm = distribute(c, PartMap::contiguous(2, 2), &serial, &labels);
-        write_checkpoint_with(c, &dm, &[], &dir, &opts).expect("write");
+        write_checkpoint(c, &dm, &[], &dir).expect("write");
     });
     dir
-}
-
-/// A v2 (default-format) checkpoint.
-fn write_small(name: &str) -> PathBuf {
-    write_small_with(name, WriteOpts::default())
-}
-
-/// A v1 (flat, uncompressed) checkpoint — the drills below that reseal or
-/// cut v1 byte layouts need it explicitly.
-fn write_small_v1(name: &str) -> PathBuf {
-    write_small_with(
-        name,
-        WriteOpts {
-            version: 1,
-            ..WriteOpts::default()
-        },
-    )
 }
 
 /// Read the checkpoint on 2 ranks; every rank must get an `Err`.
@@ -48,70 +37,60 @@ fn read_errors(dir: &std::path::Path) -> Vec<IoError> {
     })
 }
 
-#[test]
-fn flipped_payload_byte_names_part_and_section() {
-    let dir = write_small_v1("flip");
-    // Corrupt the middle of part 1's entities payload.
-    let path = part_file_path(&dir, 1);
-    let mut data = std::fs::read(&path).expect("read part file");
-    let header = parse_part_header(1, &data).expect("intact header");
-    let entry = find_section(&header, Section::Entities).expect("entities section");
-    data[(entry.offset + entry.len / 2) as usize] ^= 0x40;
-    std::fs::write(&path, &data).expect("write corrupted file");
-
-    let errs = read_errors(&dir);
-    assert!(
-        errs.iter().any(|e| matches!(
-            e,
-            IoError::BadChecksum {
-                part: 1,
-                section: Section::Entities
-            }
-        )),
-        "expected BadChecksum(part 1, entities), got: {errs:?}"
+/// Re-encode a part file with `edit` applied to the raw (decompressed)
+/// stream of `section`: every section is recompressed into fresh,
+/// correctly checksummed chunks and the table and header are resealed, so
+/// only the decoders can notice the edit.
+fn reseal_with(data: &[u8], part: u32, section: Section, edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+    let h = parse_part_header_v2(part, data).expect("intact v2 header");
+    let mut out = vec![0u8; HEADER_V2_LEN];
+    let mut entries = Vec::new();
+    for e in &h.sections {
+        let mut raw = section_raw_bytes(part, data, e, |idx, hdr, p| {
+            decode_chunk(part, e.section, idx, hdr, p)
+        })
+        .expect("intact section");
+        if e.section == section {
+            edit(&mut raw);
+        }
+        let offset = out.len() as u64;
+        let mut cw = ChunkWriter::new(&mut out, DEFAULT_CHUNK_LEN);
+        cw.put_raw(&raw);
+        let st = cw.finish_section().expect("in-memory write");
+        entries.push(SectionEntryV2 {
+            section: e.section,
+            offset,
+            disk_len: st.disk_len,
+            raw_len: st.raw_len,
+            nchunks: st.nchunks,
+        });
+    }
+    let table = encode_table_v2(&entries);
+    let table_offset = out.len() as u64;
+    out.extend_from_slice(&table);
+    let hdr = encode_header_v2(
+        part,
+        h.elem_dim,
+        h.gid_counter,
+        h.flags,
+        table_offset,
+        table.len() as u32,
     );
-    // The message identifies the damaged file for the operator.
-    let msg = errs
-        .iter()
-        .find(|e| matches!(e, IoError::BadChecksum { .. }))
-        .expect("typed checksum error")
-        .to_string();
-    assert!(msg.contains("part 1") && msg.contains("entities"), "{msg}");
-    // The other rank exits collectively instead of deadlocking.
-    assert!(
-        errs.iter().any(|e| matches!(e, IoError::PeerFailed { .. })),
-        "peer should report PeerFailed, got: {errs:?}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    out[..HEADER_V2_LEN].copy_from_slice(&hdr);
+    out
 }
 
-/// A byte that survives the CRC but decodes to an out-of-range enum (here a
-/// topology code) must surface as a typed `Decode` error, not a panic: the
-/// section checksum is repaired after the flip so only the enum guard can
-/// catch it.
+/// A byte that survives every CRC but decodes to an out-of-range enum (here
+/// a topology code) must surface as a typed `Decode` error, not a panic:
+/// the file is resealed after the flip so only the enum guard can catch it.
 #[test]
 fn flipped_enum_byte_is_typed_decode_error() {
-    let dir = write_small_v1("enum");
+    let dir = write_small("enum");
     let path = part_file_path(&dir, 1);
-    let mut data = std::fs::read(&path).expect("read part file");
-    let header = parse_part_header(1, &data).expect("intact header");
-    let i = header
-        .sections
-        .iter()
-        .position(|e| e.section == Section::Entities)
-        .expect("entities section");
-    let entry = header.sections[i];
-    // First vertex record: [n u32][gid u64][topo u8]... — flip the topology
+    let data = std::fs::read(&path).expect("read part file");
+    // First vertex record: [n u32][gid u64][topo u8]... — set the topology
     // code to an undefined value.
-    let topo_at = entry.offset as usize + 12;
-    data[topo_at] = 0xFF;
-    // Re-seal both checksums so the corruption reaches the decoder.
-    let payload_crc = pumi_io::crc::crc32(&data[entry.offset as usize..][..entry.len as usize]);
-    let table_at = 28 + 21 * i + 17; // crc32 field of table row i
-    data[table_at..table_at + 4].copy_from_slice(&payload_crc.to_le_bytes());
-    let table_end = 28 + 21 * header.sections.len();
-    let hcrc = pumi_io::crc::crc32(&data[..table_end]);
-    data[table_end..table_end + 4].copy_from_slice(&hcrc.to_le_bytes());
+    let data = reseal_with(&data, 1, Section::Entities, |raw| raw[12] = 0xFF);
     std::fs::write(&path, &data).expect("write corrupted file");
 
     let errs = read_errors(&dir);
@@ -137,18 +116,31 @@ fn flipped_enum_byte_is_typed_decode_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Format version 1 is no longer readable: a part file that claims it is
+/// a typed header error, and every rank fails the restore together.
 #[test]
-fn truncated_part_file_is_typed() {
-    let dir = write_small_v1("trunc");
+fn version_1_part_file_is_typed_error_on_every_rank() {
+    let dir = write_small("v1");
     let path = part_file_path(&dir, 0);
-    let data = std::fs::read(&path).expect("read part file");
-    std::fs::write(&path, &data[..data.len() - 9]).expect("truncate");
+    let mut data = std::fs::read(&path).expect("read part file");
+    data[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let crc = pumi_io::crc::crc32(&data[..40]);
+    data[40..44].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &data).expect("write v1-claiming file");
 
     let errs = read_errors(&dir);
+    assert_eq!(errs.len(), 2);
+    let detail = errs
+        .iter()
+        .find_map(|e| match e {
+            IoError::Header { part: 0, detail } => Some(detail.clone()),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("expected Header(part 0), got: {errs:?}"));
+    assert!(detail.contains("unsupported format version 1"), "{detail}");
     assert!(
-        errs.iter()
-            .any(|e| matches!(e, IoError::Truncated { part: 0, .. })),
-        "expected Truncated(part 0), got: {errs:?}"
+        errs.iter().any(|e| matches!(e, IoError::PeerFailed { .. })),
+        "peer should report PeerFailed, got: {errs:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

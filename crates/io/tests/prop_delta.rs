@@ -7,14 +7,11 @@
 //! the final state: same structural hash (entities, tags, overlaps), same
 //! bit-exact field values, on every rank count.
 
+use pumi_check::{check_dist, CheckOpts};
 use pumi_core::overlap::{grow_overlap, GhostOpts};
-use pumi_core::verify::assert_dist_valid;
 use pumi_core::{distribute, DistMesh, PartMap};
 use pumi_field::{DistField, Field, FieldShape};
-use pumi_io::{
-    read_checkpoint, struct_hash, write_checkpoint, write_checkpoint_with, write_delta_checkpoint,
-    IoError, WriteOpts,
-};
+use pumi_io::{read_checkpoint, struct_hash, write_checkpoint, write_delta_checkpoint, IoError};
 use pumi_mesh::{Mesh, Topology};
 use pumi_meshgen::{jitter, tet_box, tri_rect};
 use pumi_partition::partition_mesh;
@@ -230,7 +227,7 @@ fn delta_roundtrip(name: &str, serial: &Mesh, nwrite: usize, rounds: usize, ghos
         for (dir, label) in [(&dir_delta, "base+delta"), (&dir_full, "fresh full")] {
             let hashes = execute(m, |c| {
                 let restored = read_checkpoint(c, dir).expect("restore");
-                assert_dist_valid(c, &restored.dm);
+                check_dist(c, &restored.dm, CheckOpts::all()).expect("valid distributed mesh");
                 check_field(&restored.dm, &restored.fields);
                 struct_hash(c, &restored.dm)
             });
@@ -304,37 +301,5 @@ fn delta_after_repartition_is_refused() {
             "typed refusal, got {err:?}"
         );
     });
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn v1_checkpoints_still_restore() {
-    // Version-gated read path: a v1 (flat, uncompressed) checkpoint written
-    // through the same API restores bit-for-bit on any rank count.
-    let mut serial = tri_rect(9, 7, 1.0, 1.0);
-    jitter(&mut serial, 0.1, 5);
-    let dir = scratch_dir("v1compat");
-    let write_out = execute(2, |c| {
-        let mut dm = build_dm(c, &serial);
-        set_tags(&mut dm);
-        let fields = make_field(&dm);
-        let opts = WriteOpts {
-            version: 1,
-            ..WriteOpts::default()
-        };
-        write_checkpoint_with(c, &dm, &[&fields], &dir, &opts).expect("v1 write");
-        struct_hash(c, &dm)
-    });
-    for m in [1, 2, 4] {
-        let hashes = execute(m, |c| {
-            let restored = read_checkpoint(c, &dir).expect("v1 restore");
-            assert_dist_valid(c, &restored.dm);
-            check_field(&restored.dm, &restored.fields);
-            struct_hash(c, &restored.dm)
-        });
-        for h in hashes {
-            assert_eq!(h, write_out[0], "v1 restore hash mismatch on {m} ranks");
-        }
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }

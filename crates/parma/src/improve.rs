@@ -490,7 +490,8 @@ mod tests {
             for p in &dm.parts {
                 p.mesh.assert_valid();
             }
-            pumi_core::verify::assert_dist_valid(c, &dm);
+            pumi_check::check_dist(c, &dm, pumi_check::CheckOpts::all())
+                .expect("valid distributed mesh");
         });
     }
 
@@ -524,7 +525,8 @@ mod tests {
                 after.imbalance_pct(Dim::Face)
             );
             assert_eq!(report.types.len(), 2);
-            pumi_core::verify::assert_dist_valid(c, &dm);
+            pumi_check::check_dist(c, &dm, pumi_check::CheckOpts::all())
+                .expect("valid distributed mesh");
         });
     }
 
@@ -565,7 +567,8 @@ mod tests {
                 after.imbalance_pct(Dim::Face)
             );
             assert!(report.elements_moved > 0, "no elements moved");
-            pumi_core::verify::assert_dist_valid(c, &dm);
+            pumi_check::check_dist(c, &dm, pumi_check::CheckOpts::all())
+                .expect("valid distributed mesh");
         });
     }
 
@@ -603,7 +606,8 @@ mod tests {
     /// path, with no more off-node boundary than it.
     #[test]
     fn topo_aware_improve_limits_off_node_boundary() {
-        use crate::topo::{off_node_boundary, TopologyOpts};
+        use crate::topo::TopologyOpts;
+        use pumi_core::twolevel::off_node_boundary;
         let machine = pumi_pcu::MachineModel::new(2, 2);
         let results = pumi_pcu::execute_on(machine, |c| {
             let serial = tri_rect(16, 8, 4.0, 2.0);
@@ -635,7 +639,8 @@ mod tests {
             let topo_split = off_node_boundary(c, &topo, &machine);
             let topo_pct = EntityLoads::gather(c, &topo).imbalance_pct(Dim::Face);
 
-            pumi_core::verify::assert_dist_valid(c, &topo);
+            pumi_check::check_dist(c, &topo, pumi_check::CheckOpts::all())
+                .expect("valid distributed mesh");
             (blind_split, blind_pct, topo_split, topo_pct)
         });
         let (blind_split, blind_pct, topo_split, topo_pct) = results[0];

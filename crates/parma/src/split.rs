@@ -292,7 +292,8 @@ mod tests {
             for p in &dm.parts {
                 p.mesh.assert_valid();
             }
-            pumi_core::verify::assert_dist_valid(c, &dm);
+            pumi_check::check_dist(c, &dm, pumi_check::CheckOpts::all())
+                .expect("valid distributed mesh");
         });
     }
 

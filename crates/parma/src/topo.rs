@@ -22,8 +22,8 @@
 //! On a flat machine ([`MachineModel::flat`] or a single node) the options
 //! are inert and diffusion is byte-identical to the topology-blind path.
 
-use pumi_core::{DistMesh, PartMap};
-use pumi_pcu::{Comm, LinkClass, MachineModel};
+use pumi_core::PartMap;
+use pumi_pcu::{LinkClass, MachineModel};
 use pumi_util::PartId;
 
 /// Machine awareness for ParMA diffusion.
@@ -78,56 +78,6 @@ impl TopologyOpts {
     }
 }
 
-/// The on-/off-node split of the part-boundary surface. Copies are counted
-/// once per (entity, remote copy) direction world-wide; bytes are the
-/// gid-sized (8 B) proxy for what one boundary sync of that surface ships.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BoundarySplit {
-    /// Boundary copies whose two holders share a node.
-    pub on_copies: u64,
-    /// Boundary copies whose two holders sit on different nodes.
-    pub off_copies: u64,
-}
-
-impl BoundarySplit {
-    /// On-node surface in proxy bytes (8 per copy).
-    pub fn on_bytes(&self) -> u64 {
-        self.on_copies * 8
-    }
-
-    /// Off-node surface in proxy bytes (8 per copy).
-    pub fn off_bytes(&self) -> u64 {
-        self.off_copies * 8
-    }
-}
-
-/// Measure the on-/off-node split of `dm`'s part-boundary surface under
-/// `machine`. Collective; every rank returns the same world total.
-pub fn off_node_boundary(comm: &Comm, dm: &DistMesh, machine: &MachineModel) -> BoundarySplit {
-    let mut on = 0u64;
-    let mut off = 0u64;
-    for p in &dm.parts {
-        let my_node = machine.node_of(dm.map.rank_of(p.id));
-        for (e, remotes) in p.shared_entities() {
-            if p.is_ghost(e) {
-                continue;
-            }
-            for &(q, _) in remotes {
-                let qn = machine.node_of(dm.map.rank_of(q));
-                if qn == my_node {
-                    on += 1;
-                } else {
-                    off += 1;
-                }
-            }
-        }
-    }
-    BoundarySplit {
-        on_copies: comm.allreduce_sum_u64(on),
-        off_copies: comm.allreduce_sum_u64(off),
-    }
-}
-
 /// Classify the link between the ranks hosting two parts.
 pub fn link_of_parts(machine: &MachineModel, map: &PartMap, a: PartId, b: PartId) -> LinkClass {
     machine.link(map.rank_of(a), map.rank_of(b))
@@ -136,47 +86,6 @@ pub fn link_of_parts(machine: &MachineModel, map: &PartMap, a: PartId, b: PartId
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pumi_core::distribute;
-    use pumi_meshgen::tri_rect;
-    use pumi_partition::partition_mesh;
-
-    #[test]
-    fn boundary_split_counts_match_total_surface() {
-        let machine = MachineModel::new(2, 2);
-        pumi_pcu::execute_on(machine, |c| {
-            let m = tri_rect(8, 8, 1.0, 1.0);
-            let labels = partition_mesh(&m, 4);
-            let dm = distribute(c, PartMap::contiguous(4, 4), &m, &labels);
-            let machine = c.machine();
-            let split = off_node_boundary(c, &dm, &machine);
-            // Total copies = the machine-oblivious count.
-            let mut total = 0u64;
-            for p in &dm.parts {
-                for (e, remotes) in p.shared_entities() {
-                    if !p.is_ghost(e) {
-                        total += remotes.len() as u64;
-                    }
-                }
-            }
-            let total = c.allreduce_sum_u64(total);
-            assert_eq!(split.on_copies + split.off_copies, total);
-            assert!(total > 0);
-            assert_eq!(split.off_bytes(), split.off_copies * 8);
-        });
-    }
-
-    #[test]
-    fn flat_machine_has_no_on_node_surface() {
-        pumi_pcu::execute(4, |c| {
-            let m = tri_rect(8, 8, 1.0, 1.0);
-            let labels = partition_mesh(&m, 4);
-            let dm = distribute(c, PartMap::contiguous(4, 4), &m, &labels);
-            let machine = c.machine();
-            let split = off_node_boundary(c, &dm, &machine);
-            assert_eq!(split.on_copies, 0);
-            assert!(split.off_copies > 0);
-        });
-    }
 
     #[test]
     fn link_classification_follows_placement() {

@@ -1,5 +1,10 @@
 //! Hierarchy-aware two-level partitioning against a [`MachineModel`].
 //!
+//! §II-D: "a hybrid mesh partitioning algorithm which involves first
+//! partitioning a mesh into nodes and subsequently to the cores on the
+//! nodes. Part handles assigned to threads on the same node shared memory
+//! should result in faster communications and reduced memory usage."
+//!
 //! The CERFACS hardware-locality scheme (arXiv:2008.00832): partition the
 //! part graph onto *nodes* first, minimizing the off-node edge cut, then
 //! place each node's parts on its cores for core-level balance. Because the
@@ -57,7 +62,11 @@ impl HierPartition {
     }
 
     /// Fraction of boundary-copy weight that crosses nodes (0 when there is
-    /// no boundary at all).
+    /// no boundary at all). The part-graph weights count the same
+    /// (entity, remote copy) links as `pumi_core::twolevel::off_node_boundary`,
+    /// so this is that measure's `off_copies / (on_copies + off_copies)`
+    /// for the mesh placed by [`HierPartition::part_map`], known before any
+    /// part moves.
     pub fn off_node_fraction(&self) -> f64 {
         if self.total_cut == 0.0 {
             0.0
@@ -262,11 +271,30 @@ pub fn partition_hier(
 mod tests {
     use super::*;
     use crate::partition_mesh;
-    use crate::twolevel::off_node_share;
     use pumi_core::dist::distribute;
+    use pumi_core::twolevel::off_node_boundary;
     use pumi_meshgen::{tet_box, tri_rect};
+    use pumi_pcu::execute_on;
     use pumi_util::stats::imbalance;
-    use pumi_util::Dim;
+
+    /// Distribute `labels` one part per rank, node-major on `machine`, and
+    /// measure the off-node share of the part-boundary links.
+    fn measured_off_node_fraction(machine: MachineModel, mesh: &Mesh, labels: &[PartId]) -> f64 {
+        let n = machine.nranks();
+        execute_on(machine, |c| {
+            let dm = distribute(c, PartMap::contiguous(n, n), mesh, labels);
+            let s = off_node_boundary(c, &dm, &machine);
+            s.off_copies as f64 / (s.on_copies + s.off_copies) as f64
+        })[0]
+    }
+
+    fn loads(mesh: &Mesh, labels: &[PartId], nparts: usize) -> Vec<f64> {
+        let mut loads = vec![0f64; nparts];
+        for e in mesh.iter(mesh.elem_dim_t()) {
+            loads[labels[e.idx()] as usize] += 1.0;
+        }
+        loads
+    }
 
     #[test]
     fn serial_hier_matches_flat_on_flat_machine() {
@@ -279,19 +307,64 @@ mod tests {
     }
 
     #[test]
-    fn serial_hier_balances_and_reduces_off_node_share() {
+    fn two_level_covers_all_parts_and_balances() {
+        let m = tri_rect(16, 16, 1.0, 1.0);
+        let labels = partition_mesh_hier(&m, 16, &MachineModel::new(4, 4), HierOpts::default());
+        let loads = loads(&m, &labels, 16);
+        assert!(loads.iter().all(|&l| l > 0.0), "{loads:?}");
+        assert!(imbalance(&loads) < 1.15, "{loads:?}");
+    }
+
+    #[test]
+    fn second_level_nests_in_first() {
+        let m = tri_rect(12, 12, 1.0, 1.0);
+        let (nodes, cores) = (3, 4);
+        let machine = MachineModel::new(nodes, cores);
+        let labels = partition_mesh_hier(&m, nodes * cores, &machine, HierOpts::default());
+        let g = DualGraph::build(&m);
+        let node_labels = partition_graph(&g, nodes, GraphPartOpts::default());
+        for (node, &e) in g.elems.iter().enumerate() {
+            assert_eq!(labels[e.idx()] as usize / cores, node_labels[node] as usize);
+        }
+    }
+
+    /// A machine-oblivious partitioner gives no guarantee about which part
+    /// ids land on which node; model that by permuting the part ids of a
+    /// flat partition. The hierarchical partition, numbered node-major,
+    /// must keep clearly more of its boundary on-node.
+    #[test]
+    fn serial_hier_balances_and_keeps_boundary_on_node() {
         let m = tet_box(10, 10, 10, 1.0, 1.0, 1.0);
         let machine = MachineModel::new(4, 4);
         let labels = partition_mesh_hier(&m, 16, &machine, HierOpts::default());
-        let mut loads = vec![0f64; 16];
-        for e in m.iter(m.elem_dim_t()) {
-            loads[labels[e.idx()] as usize] += 1.0;
-        }
+        let loads = loads(&m, &labels, 16);
         assert!(loads.iter().all(|&l| l > 0.0), "{loads:?}");
         assert!(imbalance(&loads) < 1.15, "{loads:?}");
-        // Node-major numbering keeps most boundary on-node.
-        let sh = off_node_share(&m, &labels, 4, Dim::Vertex);
-        assert!(sh < 0.75, "off-node share {sh:.3}");
+        let oblivious: Vec<PartId> = partition_mesh(&m, 16)
+            .iter()
+            .map(|&p| (p * 7 + 3) % 16)
+            .collect();
+        let sh = measured_off_node_fraction(machine, &m, &labels);
+        let so = measured_off_node_fraction(machine, &m, &oblivious);
+        assert!(
+            sh < so - 0.05,
+            "hier off-node share {sh:.3} should clearly beat oblivious {so:.3}"
+        );
+        assert!(sh < 0.75, "hier off-node share too high: {sh:.3}");
+    }
+
+    #[test]
+    fn degenerate_machine_shapes() {
+        let m = tri_rect(6, 6, 1.0, 1.0);
+        // 1 node x 4 cores: a plain 4-way partition, all boundary on-node.
+        let machine = MachineModel::new(1, 4);
+        let labels = partition_mesh_hier(&m, 4, &machine, HierOpts::default());
+        assert!(loads(&m, &labels, 4).iter().all(|&l| l > 0.0));
+        assert_eq!(measured_off_node_fraction(machine, &m, &labels), 0.0);
+        // 4 nodes x 1 core: a flat partition, all boundary off-node.
+        let machine = MachineModel::new(4, 1);
+        let labels = partition_mesh_hier(&m, 4, &machine, HierOpts::default());
+        assert_eq!(measured_off_node_fraction(machine, &m, &labels), 1.0);
     }
 
     #[test]
@@ -335,11 +408,33 @@ mod tests {
         });
     }
 
+    /// `off_node_fraction` is the core off-node measure, known before the
+    /// move: placing the same parts by the computed map and measuring
+    /// gives the same share.
+    #[test]
+    fn off_node_fraction_is_the_measured_share_under_the_placement() {
+        let machine = MachineModel::new(2, 4);
+        pumi_pcu::execute_on(machine, |c| {
+            let m = tet_box(6, 6, 6, 1.0, 1.0, 1.0);
+            let labels = partition_mesh(&m, 16);
+            let dm = distribute(c, PartMap::contiguous(16, c.nranks()), &m, &labels);
+            let h = partition_hier(c, &dm, &machine, HierOpts::default());
+            let placed = distribute(c, h.part_map(c.nranks()), &m, &labels);
+            let s = off_node_boundary(c, &placed, &machine);
+            let measured = s.off_copies as f64 / (s.on_copies + s.off_copies) as f64;
+            assert!(s.off_copies > 0);
+            assert!(
+                (h.off_node_fraction() - measured).abs() < 1e-12,
+                "view {} vs measured {measured}",
+                h.off_node_fraction()
+            );
+        });
+    }
+
     #[test]
     fn distributed_hier_beats_scrambled_placement() {
         // The hierarchical placement's off-node cut must not exceed the cut
-        // of an adversarial (reversed-contiguous) placement of the same
-        // parts.
+        // of an adversarial (interleaved) placement of the same parts.
         let machine = MachineModel::new(2, 4);
         pumi_pcu::execute_on(machine, |c| {
             let m = tet_box(8, 8, 8, 1.0, 1.0, 1.0);
@@ -348,37 +443,16 @@ mod tests {
             let machine = c.machine();
             let h = partition_hier(c, &dm, &machine, HierOpts::default());
             // Scrambled: part p on node (p % 2) — interleaved, worst case.
-            let mut scrambled = 0.0;
-            let mut total = 0.0;
-            // Recompute the cut matrix the same way partition_hier does.
-            let nparts = 16usize;
-            let mut flat = vec![0f64; nparts * nparts];
-            for p in &dm.parts {
-                for (e, remotes) in p.shared_entities() {
-                    if p.is_ghost(e) {
-                        continue;
-                    }
-                    for &(q, _) in remotes {
-                        flat[p.id as usize * nparts + q as usize] += 1.0;
-                    }
-                }
-            }
-            let flat = c.allreduce_sum_f64_vec(&flat);
-            for p in 0..nparts {
-                for q in (p + 1)..nparts {
-                    let w = 0.5 * (flat[p * nparts + q] + flat[q * nparts + p]);
-                    total += w;
-                    if p % 2 != q % 2 {
-                        scrambled += w;
-                    }
-                }
-            }
-            assert!(total > 0.0);
+            let scrambled = PartMap::from_ranks((0..16).map(|p| (p % 2) * 4 + p / 4).collect(), 8);
+            let placed = distribute(c, scrambled, &m, &labels);
+            let s = off_node_boundary(c, &placed, &machine);
+            // off_node_cut counts each link pair once.
+            assert!(s.off_copies > 0);
             assert!(
-                h.off_node_cut <= scrambled,
+                2.0 * h.off_node_cut <= s.off_copies as f64,
                 "hier cut {} vs scrambled {}",
-                h.off_node_cut,
-                scrambled
+                2.0 * h.off_node_cut,
+                s.off_copies
             );
         });
     }

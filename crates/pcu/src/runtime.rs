@@ -312,8 +312,11 @@ impl SenseBarrier {
             // so no increment can race the store until the generation
             // advances below.
             self.arrivals.store(0, Ordering::SeqCst);
-            self.generation.store(gen.wrapping_add(1), Ordering::SeqCst);
+            // Advance the generation under the waiter lock: a member that
+            // sees the new generation may re-enter and register for the
+            // next barrier, and it must not be drained by this release.
             let mut w = self.waiters.lock().unwrap();
+            self.generation.store(gen.wrapping_add(1), Ordering::SeqCst);
             for t in w.drain(..) {
                 t.unpark();
             }
@@ -328,9 +331,10 @@ impl SenseBarrier {
             }
         }
         // Slow path: register, then re-check under the lock — the release
-        // sequence bumps the generation *before* taking the lock, so a
+        // sequence bumps the generation *while holding* the lock, so a
         // registration that observes the old generation here is guaranteed
-        // to be seen (and unparked) by the releaser.
+        // to be seen (and unparked) by that release, and one made after
+        // the bump waits for the next release.
         let mut w = self.waiters.lock().unwrap();
         if self.generation.load(Ordering::SeqCst) != gen {
             return;

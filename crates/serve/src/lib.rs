@@ -9,7 +9,7 @@
 //! [`CheckpointServer`] amortizes that: it opens a `.pmb` checkpoint once
 //! and serves any number of concurrent [`restore_slice`] calls through a
 //! shared, CRC-verified chunk cache. The first reader to touch a
-//! compressed v2 chunk pays for verification and decompression; everyone
+//! compressed chunk pays for verification and decompression; everyone
 //! else gets the cached raw bytes. Part files (base and delta rounds) are
 //! read from disk exactly once regardless of reader count.
 //!
@@ -42,10 +42,10 @@
 #![warn(missing_docs)]
 
 use pumi_core::Part;
-use pumi_io::chunk::{decode_chunk, parse_chunk_header, CHUNK_HEADER_LEN};
+use pumi_io::chunk::{decode_chunk, section_raw_bytes};
 use pumi_io::format::{
-    delta_dir, parse_manifest, parse_part_any, part_file_path, section_payload, AnyPartHeader,
-    Manifest, MANIFEST_FILE,
+    delta_dir, parse_manifest, parse_part_header_v2, part_file_path, Manifest, PartHeaderV2,
+    MANIFEST_FILE,
 };
 use pumi_io::{load_standalone_part, IoError, Section, SectionSource};
 use pumi_partition::partition_mesh;
@@ -123,11 +123,11 @@ pub struct Slice {
 /// decompressed data lives in the shared chunk cache instead.
 struct PartFile {
     data: Vec<u8>,
-    header: AnyPartHeader,
+    header: PartHeaderV2,
 }
 
 /// Chunk cache key: (delta round or 0 for base, file part, section code,
-/// chunk index). v1 sections are cached whole under chunk index 0.
+/// chunk index).
 type ChunkKey = (u32, PartId, u8, u32);
 
 /// The shared raw-chunk cache: a keyed map plus FIFO insertion order for
@@ -290,8 +290,8 @@ impl CheckpointServer {
             path: path.clone(),
             source: e,
         })?;
-        let header = parse_part_any(fpart, &data)?;
-        let is_delta = matches!(&header, AnyPartHeader::V2(h) if h.is_delta());
+        let header = parse_part_header_v2(fpart, &data)?;
+        let is_delta = header.is_delta();
         if delta == 0 && is_delta {
             return Err(IoError::Header {
                 part: fpart,
@@ -301,7 +301,7 @@ impl CheckpointServer {
         if delta > 0 && !is_delta {
             return Err(IoError::Header {
                 part: fpart,
-                detail: format!("delta round {delta}: not a v2 delta part file"),
+                detail: format!("delta round {delta}: not a delta part file"),
             });
         }
         self.disk_bytes
@@ -355,68 +355,11 @@ impl SectionSource for CheckpointServer {
     ) -> Result<Vec<u8>, IoError> {
         let round = delta.unwrap_or(0);
         let pf = self.part_file(round, fpart)?;
-        let missing = || IoError::Header {
-            part: fpart,
-            detail: format!("missing section '{}'", section.name()),
-        };
-        let out = match &pf.header {
-            AnyPartHeader::V1(h) => {
-                // v1 sections are flat; cache each whole under chunk 0.
-                let entry = pumi_io::format::find_section(h, section).ok_or_else(missing)?;
-                let raw = self.cached_chunk((round, fpart, section.to_u8(), 0), || {
-                    Ok(section_payload(fpart, &pf.data, &entry)?.to_vec())
-                })?;
-                raw.as_ref().clone()
-            }
-            AnyPartHeader::V2(h) => {
-                let entry = h.find(section).ok_or_else(missing)?;
-                let end = entry.offset.saturating_add(entry.disk_len);
-                if end > pf.data.len() as u64 {
-                    return Err(IoError::Truncated {
-                        part: fpart,
-                        section,
-                        needed: end,
-                        have: pf.data.len() as u64,
-                    });
-                }
-                let mut out = Vec::with_capacity(entry.raw_len as usize);
-                let mut at = entry.offset as usize;
-                let section_end = end as usize;
-                for idx in 0..entry.nchunks {
-                    let hdr = parse_chunk_header(fpart, section, idx, &pf.data[at..section_end])?;
-                    at += CHUNK_HEADER_LEN;
-                    let plen = hdr.disk_payload_len();
-                    if at + plen > section_end {
-                        return Err(IoError::BadChunk {
-                            part: fpart,
-                            section,
-                            chunk: idx,
-                            detail: format!(
-                                "chunk payload truncated: need {plen} bytes, have {}",
-                                section_end - at
-                            ),
-                        });
-                    }
-                    let raw = self.cached_chunk((round, fpart, section.to_u8(), idx), || {
-                        decode_chunk(fpart, section, idx, &hdr, &pf.data[at..at + plen])
-                    })?;
-                    out.extend_from_slice(&raw);
-                    at += plen;
-                }
-                if out.len() as u64 != entry.raw_len {
-                    return Err(IoError::Decode {
-                        part: fpart,
-                        section,
-                        detail: format!(
-                            "section reassembled to {} bytes, table promised {}",
-                            out.len(),
-                            entry.raw_len
-                        ),
-                    });
-                }
-                out
-            }
-        };
+        let out = section_raw_bytes(fpart, &pf.data, &pf.header.find(section)?, |idx, hdr, p| {
+            self.cached_chunk((round, fpart, section.to_u8(), idx), || {
+                decode_chunk(fpart, section, idx, hdr, p)
+            })
+        })?;
         self.raw_bytes
             .fetch_add(out.len() as u64, Ordering::Relaxed);
         pumi_obs::metrics::counter_add("serve.bytes.raw", out.len() as u64);

@@ -9,7 +9,7 @@ use pumi_repro::check::{check_dist, CheckOpts};
 use pumi_repro::core::overlap::{grow_overlap, GhostOpts, Overlap, Reduction};
 use pumi_repro::core::{distribute, migrate, DistMesh, MigrationPlan, PartMap};
 use pumi_repro::field::{dist_field, Field, FieldShape, FieldSync};
-use pumi_repro::io::{read_checkpoint_with, struct_hash, write_checkpoint, ReadOpts};
+use pumi_repro::io::{read_checkpoint, struct_hash, write_checkpoint};
 use pumi_repro::meshgen::tri_rect;
 use pumi_repro::obs::metrics::{take_digests, take_traffic};
 use pumi_repro::partition::partition_mesh;
@@ -118,11 +118,8 @@ fn scenario(c: &Comm, label: &str) -> RankTrace {
     }
     let dir = std::env::temp_dir().join(format!("pumi_determinism_{}_{label}", std::process::id()));
     write_checkpoint(c, &dm, &[&fields], &dir).expect("write");
-    let opts = ReadOpts {
-        verify: true,
-        check: true,
-    };
-    let restored = read_checkpoint_with(c, &dir, opts).expect("restore");
+    let restored = read_checkpoint(c, &dir).expect("restore");
+    check_dist(c, &restored.dm, CheckOpts::all()).expect("post-restore");
     if c.rank() == 0 {
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -8,8 +8,8 @@
 //! Fig 6: the P0–P1 boundary is on-node (implicit), the boundaries to P2
 //! are off-node (explicit).
 
-use pumi_core::twolevel::{boundary_split, two_level_map};
-use pumi_core::verify::assert_dist_valid;
+use pumi_check::{check_dist, CheckOpts};
+use pumi_core::twolevel::off_node_boundary;
 use pumi_core::{distribute, PtnModel};
 use pumi_meshgen::tri_rect;
 use pumi_pcu::{execute_on, MachineModel};
@@ -45,7 +45,7 @@ fn fig3_residence_and_fig4_partition_model() {
         // parts 0,1 -> ranks 0,1 (node 0); part 2 -> rank 2 (node 1).
         let map = pumi_core::PartMap::from_ranks(vec![0, 1, 2], 4);
         let dm = distribute(c, map, &serial, &labels);
-        assert_dist_valid(c, &dm);
+        check_dist(c, &dm, CheckOpts::all()).expect("valid distributed mesh");
         let Some(part) = dm.parts.first() else {
             return; // rank 3 hosts no part
         };
@@ -101,46 +101,21 @@ fn fig6_on_node_vs_off_node_boundaries() {
         let labels = three_part_labels(&serial);
         let map = pumi_core::PartMap::from_ranks(vec![0, 1, 2], 4);
         let dm = distribute(c, map, &serial, &labels);
-        let Some(part) = dm.parts.first() else { return };
-        let split = boundary_split(part, &dm.map, machine);
-        match part.id {
-            0 | 1 => {
-                // P0 and P1 share an on-node boundary (each other) and an
-                // off-node boundary (P2).
-                assert!(
-                    split.on_node_total() > 0,
-                    "P{}: no on-node boundary",
-                    part.id
-                );
-                assert!(
-                    split.off_node_total() > 0,
-                    "P{}: no off-node boundary",
-                    part.id
-                );
-                // Entities shared ONLY with the sibling are on-node.
-                let sibling = part.id ^ 1;
-                for (e, remotes) in part.shared_entities() {
-                    if remotes.len() == 1 && remotes[0].0 == sibling {
-                        // This is exactly an implicit (dashed, Fig 3)
-                        // on-node boundary entity.
-                        let _ = e;
-                    }
-                }
-            }
-            2 => {
-                // Everything P2 shares crosses nodes.
-                assert_eq!(split.on_node_total(), 0);
-                assert!(split.off_node_total() > 0);
-            }
-            _ => unreachable!(),
-        }
+        let split = off_node_boundary(c, &dm, &machine);
+        // The P0|P1 boundary (x = 0.5, y >= 0.5) is on-node: M0_j, the top
+        // vertex and 2 edges, 2 links each, plus the P0<->P1 links of
+        // M0_i. Everything P2 shares crosses nodes: the y = 0.5 line
+        // carries 4 two-part vertices and 4 edges, 2 links each, plus the
+        // 4 links of M0_i that touch P2.
+        assert_eq!(split.on_copies, (2 + 2) * 2 + 2);
+        assert_eq!(split.off_copies, (4 + 4) * 2 + 4);
     });
 }
 
 #[test]
-fn two_level_map_places_parts_node_major() {
+fn contiguous_map_places_parts_node_major() {
     let machine = MachineModel::new(3, 4);
-    let map = two_level_map(machine);
+    let map = pumi_core::PartMap::contiguous(machine.nranks(), machine.nranks());
     assert_eq!(map.nparts(), 12);
     for p in 0..12u32 {
         assert_eq!(map.rank_of(p), p as usize);

@@ -7,8 +7,9 @@
 //!    topology-aware ParMA with a prohibitive off-node penalty never
 //!    increases the off-node boundary bytes round over round.
 
-use parma::{improve, off_node_boundary, ImproveOpts, Priority, TopologyOpts};
+use parma::{improve, ImproveOpts, Priority, TopologyOpts};
 use proptest::prelude::*;
+use pumi_core::twolevel::off_node_boundary;
 use pumi_core::{distribute, PartMap};
 use pumi_io::struct_hash;
 use pumi_meshgen::tri_rect;

@@ -3,7 +3,7 @@
 //! remote-copy symmetry, owner agreement, serial validity, and gid
 //! completeness. This is the migration algorithm's contract under §II-C.
 
-use pumi_core::verify::verify_dist;
+use pumi_check::{check_dist, CheckOpts};
 use pumi_core::{distribute, migrate, MigrationPlan, PartMap};
 use pumi_meshgen::tri_rect;
 use pumi_pcu::execute;
@@ -46,8 +46,9 @@ fn run_random_migrations(seed: u64, rounds: usize) {
                 plans.insert(part.id, plan);
             }
             migrate(c, &mut dm, &plans);
-            let errs = verify_dist(c, &dm);
-            assert!(errs.is_empty(), "round {round}: {errs:?}");
+            if let Err(f) = check_dist(c, &dm, CheckOpts::all()) {
+                panic!("round {round}: {f}");
+            }
             for p in &dm.parts {
                 p.mesh.assert_valid();
             }
@@ -104,8 +105,7 @@ fn full_scatter_migration() {
             plans.insert(part.id, plan);
         }
         migrate(c, &mut dm, &plans);
-        let errs = verify_dist(c, &dm);
-        assert!(errs.is_empty(), "{errs:?}");
+        check_dist(c, &dm, CheckOpts::all()).expect("valid distributed mesh");
         let elems = dm.global_sum(c, |p| p.mesh.num_elems() as u64);
         assert_eq!(elems, nelems);
         // All 6 parts now populated (overwhelmingly likely with 72 elements).
