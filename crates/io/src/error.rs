@@ -6,6 +6,7 @@
 //! without a local error return [`IoError::PeerFailed`] so no rank is left
 //! blocked in an exchange.
 
+use pumi_pcu::Comm;
 use pumi_util::PartId;
 use std::path::PathBuf;
 
@@ -205,6 +206,17 @@ impl std::error::Error for IoError {
             _ => None,
         }
     }
+}
+
+/// Agree on a collective step's outcome with one allreduce: when any rank
+/// failed, every rank returns `Err` — its own error, or
+/// [`IoError::PeerFailed`] if it had none.
+pub(crate) fn agree(comm: &Comm, local: Option<IoError>) -> Result<(), IoError> {
+    let failures = comm.allreduce_sum_u64(local.is_some() as u64);
+    if failures > 0 {
+        return Err(local.unwrap_or(IoError::PeerFailed { failures }));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -47,12 +47,12 @@ pub fn staged_field_tag(name: &str) -> String {
     format!("{FIELD_TAG_PREFIX}{name}")
 }
 
-pub use delta::{write_delta_checkpoint, write_delta_checkpoint_with, DeltaOpts};
+pub use delta::write_delta_checkpoint;
 pub use error::{IoError, Section};
 pub use format::{FieldDesc, Manifest, FORMAT_VERSION_V2, MANIFEST_FILE};
 pub use hash::struct_hash;
 pub use read::{
-    load_standalone_part, read_checkpoint, read_checkpoint_with, ReadOpts, ReadStats, Restored,
-    SectionSource,
+    load_standalone_part, read_checkpoint, read_checkpoint_with, PartFile, ReadOpts, ReadStats,
+    Restored, SectionSource,
 };
 pub use write::{write_checkpoint, write_checkpoint_with, WriteOpts, WriteStats};

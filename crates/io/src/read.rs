@@ -13,15 +13,24 @@
 //!
 //! Ghost layers are dropped when N ≠ M (re-grow with
 //! `pumi_core::overlap::grow_overlap` after the restore); global-id
-//! counters are
-//! floored at the global maximum so ids minted after a restore never
-//! collide with checkpointed ones. Every entry point is collective and
-//! returns `Err` on *every* rank when any rank fails.
+//! counters are floored at the global maximum so ids minted after a
+//! restore never collide with checkpointed ones. Every entry point is
+//! collective and returns `Err` on *every* rank when any rank fails.
+//!
+//! Every part is built by one loader over a [`SectionSource`]: it opens
+//! the base file and then each delta round's file with [`PartFile::open`]
+//! (which checks the delta flag and element dimension against the
+//! manifest) and runs the same section decoders on each. The file
+//! header's delta flag decides whether the entity decoder updates
+//! existing gids in place. The collective reader feeds the loader from
+//! disk, each file read once; `pumi-serve` feeds it through its shared
+//! chunk cache via [`load_standalone_part`].
 
 use crate::chunk::{decode_chunk, section_raw_bytes};
-use crate::error::{IoError, Section};
+use crate::error::{agree, IoError, Section};
 use crate::format::{
-    parse_manifest, parse_part_header_v2, part_file_path, Manifest, PartHeaderV2, MANIFEST_FILE,
+    delta_dir, parse_manifest, parse_part_header_v2, part_file_path, Manifest, PartHeaderV2,
+    MANIFEST_FILE,
 };
 use crate::FIELD_TAG_PREFIX;
 use pumi_core::{migrate, DistMesh, MigrationPlan, Part, PartExchange, PartMap};
@@ -33,6 +42,7 @@ use pumi_pcu::{Comm, MsgError, MsgReader, MsgWriter};
 use pumi_util::tag::{TagData, TagKind};
 use pumi_util::{Dim, FxHashMap, GlobalId, MeshEnt, PartId};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Options for [`read_checkpoint_with`].
 #[derive(Debug, Clone, Copy)]
@@ -73,7 +83,9 @@ pub struct Restored {
     pub stats: ReadStats,
 }
 
-fn derr(part: PartId, section: Section) -> impl Fn(MsgError) -> IoError {
+/// Map a framing error in `section` of part `part`'s file to a typed
+/// decode error.
+pub(crate) fn derr(part: PartId, section: Section) -> impl Fn(MsgError) -> IoError {
     move |e| IoError::Decode {
         part,
         section,
@@ -81,34 +93,47 @@ fn derr(part: PartId, section: Section) -> impl Fn(MsgError) -> IoError {
     }
 }
 
-/// Per-part data that feeds the post-load stitching exchanges.
+/// One loaded part plus what the post-load stitching exchanges need.
 pub(crate) struct LoadedPart {
     pub(crate) part: Part,
     /// Part-boundary rows: (dim, gid, residence parts — already remapped).
     pub(crate) res_rows: Vec<(Dim, GlobalId, Vec<PartId>)>,
-    /// Ghost-holder rows: (local ghost entity, source part).
+    /// Ghost-holder rows: (local ghost entity, source part), sorted by
+    /// handle.
     pub(crate) ghost_rows: Vec<(MeshEnt, PartId)>,
     pub(crate) gid_counter: u64,
+    /// Part-file bytes, base and deltas.
     pub(crate) bytes: u64,
 }
 
-pub(crate) fn decode_entities(
+/// Decode an Entities section into `part`. A base snapshot (`upsert ==
+/// false`) only creates entities; a delta updates the ones whose gid is
+/// already present and creates the rest, so the base load pays no gid
+/// lookup per entity. Ghost provenance lands in `ghosts`, keyed by gid
+/// because local handles can be reused across a delta's deletions. With
+/// `skip_ghosts`, ghost copies are dropped — including entities a delta
+/// turned into ghosts.
+fn decode_entities(
     fpart: PartId,
     part: &mut Part,
     payload: Vec<u8>,
     elem_dim: usize,
     skip_ghosts: bool,
-) -> Result<Vec<(MeshEnt, PartId)>, IoError> {
+    upsert: bool,
+    ghosts: &mut FxHashMap<(Dim, GlobalId), PartId>,
+) -> Result<(), IoError> {
     let sec = Section::Entities;
     let e = derr(fpart, sec);
     let mut r = MsgReader::from_vec(payload);
-    let mut ghost_rows = Vec::new();
+    // Deletion of demoted entities runs top-down after the scan.
+    let mut demote: Vec<MeshEnt> = Vec::new();
     for d in 0..=elem_dim {
+        let dim = Dim::from_usize(d);
         let n = r.try_get_u32().map_err(&e)?;
         for _ in 0..n {
             let gid = r.try_get_u64().map_err(&e)?;
             let topo_code = r.try_get_u8().map_err(&e)?;
-            let class = r.try_get_u32().map_err(&e)?;
+            let class = GeomEnt(r.try_get_u32().map_err(&e)?);
             let ghost = r.try_get_u8().map_err(&e)? != 0;
             let src = if ghost {
                 Some(r.try_get_u32().map_err(&e)?)
@@ -125,45 +150,74 @@ pub(crate) fn decode_entities(
                     detail: format!("topology {topo:?} in dimension-{d} block"),
                 });
             }
+            match src {
+                Some(s) if !skip_ghosts => {
+                    ghosts.insert((dim, gid), s);
+                }
+                _ if upsert => {
+                    ghosts.remove(&(dim, gid));
+                }
+                _ => {}
+            }
+            let drop = ghost && skip_ghosts;
+            let existing = if upsert {
+                part.find_gid(dim, gid)
+            } else {
+                None
+            };
             if d == 0 {
                 let x = [
                     r.try_get_f64().map_err(&e)?,
                     r.try_get_f64().map_err(&e)?,
                     r.try_get_f64().map_err(&e)?,
                 ];
-                if ghost && skip_ghosts {
-                    continue;
-                }
-                let v = part.add_vertex(x, GeomEnt(class), gid);
-                if let Some(src) = src {
-                    ghost_rows.push((v, src));
+                match existing {
+                    Some(v) => {
+                        part.mesh.set_coords(v, x);
+                        part.mesh.set_class(v, class);
+                    }
+                    None if drop => {}
+                    None => {
+                        part.add_vertex(x, class, gid);
+                    }
                 }
             } else {
                 let vgids = r.try_get_u64_slice().map_err(&e)?;
-                if ghost && skip_ghosts {
-                    continue;
-                }
-                let mut verts = Vec::with_capacity(vgids.len());
-                for g in vgids {
-                    match part.find_gid(Dim::Vertex, g) {
-                        Some(v) => verts.push(v.index()),
-                        None => {
-                            return Err(IoError::Decode {
-                                part: fpart,
-                                section: sec,
-                                detail: format!("entity gid {gid} references unknown vertex {g}"),
-                            })
+                match existing {
+                    Some(ent) => part.mesh.set_class(ent, class),
+                    None if drop => {}
+                    None => {
+                        let mut verts = Vec::with_capacity(vgids.len());
+                        for g in vgids {
+                            match part.find_gid(Dim::Vertex, g) {
+                                Some(v) => verts.push(v.index()),
+                                None => {
+                                    return Err(IoError::Decode {
+                                        part: fpart,
+                                        section: sec,
+                                        detail: format!(
+                                            "entity gid {gid} references unknown vertex {g}"
+                                        ),
+                                    })
+                                }
+                            }
                         }
+                        part.add_entity(topo, &verts, class, gid);
                     }
                 }
-                let ent = part.add_entity(topo, &verts, GeomEnt(class), gid);
-                if let Some(src) = src {
-                    ghost_rows.push((ent, src));
-                }
+            }
+            if drop {
+                demote.extend(existing);
             }
         }
     }
-    Ok(ghost_rows)
+    demote.sort_by_key(|ent| std::cmp::Reverse(ent.dim().as_usize()));
+    for ent in demote {
+        if part.mesh.is_live(ent) {
+            part.delete_entity(ent);
+        }
+    }
+    Ok(())
 }
 
 pub(crate) fn decode_remotes(
@@ -295,117 +349,171 @@ pub(crate) fn decode_fields(
     Ok(())
 }
 
-/// Materialize one section's raw bytes: chunk-by-chunk verification and
-/// decompression.
-pub(crate) fn section_bytes(
-    fpart: PartId,
-    data: &[u8],
-    header: &PartHeaderV2,
-    section: Section,
-) -> Result<Vec<u8>, IoError> {
-    section_raw_bytes(fpart, data, &header.find(section)?, |idx, hdr, p| {
-        decode_chunk(fpart, section, idx, hdr, p)
-    })
+/// One part file — base snapshot or delta round — in memory with its
+/// parsed header, checked against the manifest by [`PartFile::open`].
+pub struct PartFile {
+    /// The file part this file belongs to.
+    pub fpart: PartId,
+    /// 0 for the base snapshot, `k` for delta round `k`.
+    pub round: u32,
+    /// The compressed on-disk image.
+    pub data: Vec<u8>,
+    /// The parsed, checksum-verified header and section table.
+    pub header: PartHeaderV2,
 }
 
+impl PartFile {
+    /// Read part `fpart`'s file for `round` of the checkpoint at `dir`
+    /// and check its header against `manifest`: the element dimension
+    /// must agree, and the delta flag must be set exactly on delta rounds.
+    pub fn open(
+        dir: &Path,
+        manifest: &Manifest,
+        fpart: PartId,
+        round: u32,
+    ) -> Result<PartFile, IoError> {
+        let path = if round == 0 {
+            part_file_path(dir, fpart)
+        } else {
+            part_file_path(&delta_dir(dir, round), fpart)
+        };
+        let data = std::fs::read(&path).map_err(|source| IoError::Io { path, source })?;
+        let header = parse_part_header_v2(fpart, &data)?;
+        let round_of = if round == 0 {
+            String::new()
+        } else {
+            format!("delta round {round}: ")
+        };
+        if header.elem_dim != manifest.elem_dim {
+            return Err(IoError::Header {
+                part: fpart,
+                detail: format!(
+                    "{round_of}element dimension {} disagrees with manifest ({})",
+                    header.elem_dim, manifest.elem_dim
+                ),
+            });
+        }
+        if header.is_delta() != (round > 0) {
+            return Err(IoError::Header {
+                part: fpart,
+                detail: if round == 0 {
+                    "delta part file where a base snapshot was expected".into()
+                } else {
+                    format!("{round_of}not a delta part file")
+                },
+            });
+        }
+        Ok(PartFile {
+            fpart,
+            round,
+            data,
+            header,
+        })
+    }
+}
+
+/// Where the part loader gets its files and section bytes, so that a
+/// restore service (`pumi-serve`) can share opened files and a chunk cache
+/// across readers. The collective reader reads from disk directly.
+pub trait SectionSource {
+    /// Part `fpart`'s file for `round` (0 = base snapshot, `k` = delta
+    /// round `k`), opened and checked with [`PartFile::open`].
+    fn open(&self, fpart: PartId, round: u32) -> Result<Arc<PartFile>, IoError>;
+
+    /// One section's raw stream. The default verifies and decompresses
+    /// every chunk; a cache can serve decoded chunks instead.
+    fn section(&self, file: &PartFile, section: Section) -> Result<Vec<u8>, IoError> {
+        let entry = file.header.find(section)?;
+        section_raw_bytes(file.fpart, &file.data, &entry, |idx, hdr, p| {
+            decode_chunk(file.fpart, section, idx, hdr, p)
+        })
+    }
+}
+
+/// The collective reader's source: every part file read from disk once.
+struct DiskFiles<'a> {
+    dir: &'a Path,
+    manifest: &'a Manifest,
+}
+
+impl SectionSource for DiskFiles<'_> {
+    fn open(&self, fpart: PartId, round: u32) -> Result<Arc<PartFile>, IoError> {
+        PartFile::open(self.dir, self.manifest, fpart, round).map(Arc::new)
+    }
+}
+
+/// The one part loader: decode file part `fpart`'s base snapshot, then
+/// each delta round in order, into a part with id `loaded_id`. Boundary
+/// links come from the newest file (each round replaces them wholesale),
+/// with part ids mapped through `remap`.
 fn load_part(
-    dir: &Path,
+    src: &dyn SectionSource,
+    manifest: &Manifest,
     fpart: PartId,
     loaded_id: PartId,
-    manifest: &Manifest,
     skip_ghosts: bool,
-    remap: &impl Fn(PartId) -> PartId,
+    remap: &dyn Fn(PartId) -> PartId,
 ) -> Result<LoadedPart, IoError> {
-    let path = part_file_path(dir, fpart);
-    let data = std::fs::read(&path).map_err(|e| IoError::Io {
-        path: path.clone(),
-        source: e,
-    })?;
-    let header = parse_part_header_v2(fpart, &data)?;
     let elem_dim = manifest.elem_dim as usize;
-    if header.elem_dim as usize != elem_dim {
-        return Err(IoError::Header {
-            part: fpart,
-            detail: format!(
-                "element dimension {} disagrees with manifest ({})",
-                header.elem_dim, manifest.elem_dim
-            ),
-        });
-    }
-    if header.is_delta() {
-        return Err(IoError::Header {
-            part: fpart,
-            detail: "delta part file where a base snapshot was expected".into(),
-        });
-    }
     let mut part = Part::new(loaded_id, elem_dim);
-    let payload = section_bytes(fpart, &data, &header, Section::Entities)?;
-    let ghost_rows = decode_entities(fpart, &mut part, payload, elem_dim, skip_ghosts)?;
-    let payload = section_bytes(fpart, &data, &header, Section::Remotes)?;
-    let res_rows = decode_remotes(fpart, payload, remap)?;
-    let payload = section_bytes(fpart, &data, &header, Section::Tags)?;
-    decode_tags(fpart, &mut part, payload, skip_ghosts)?;
-    let payload = section_bytes(fpart, &data, &header, Section::Fields)?;
-    decode_fields(fpart, &mut part, payload, skip_ghosts)?;
-    let mut lp = LoadedPart {
+    let mut ghosts = FxHashMap::default();
+    let mut res_rows = Vec::new();
+    let mut gid_counter = 0;
+    let mut bytes = 0;
+    for round in 0..=manifest.delta_count {
+        let file = src.open(fpart, round)?;
+        let delta = file.header.is_delta();
+        if delta {
+            let payload = src.section(&file, Section::Deleted)?;
+            crate::delta::apply_deletions(fpart, &mut part, payload, &mut ghosts)?;
+        }
+        let payload = src.section(&file, Section::Entities)?;
+        decode_entities(
+            fpart,
+            &mut part,
+            payload,
+            elem_dim,
+            skip_ghosts,
+            delta,
+            &mut ghosts,
+        )?;
+        let payload = src.section(&file, Section::Tags)?;
+        decode_tags(fpart, &mut part, payload, skip_ghosts)?;
+        let payload = src.section(&file, Section::Fields)?;
+        decode_fields(fpart, &mut part, payload, skip_ghosts)?;
+        if round == manifest.delta_count {
+            let payload = src.section(&file, Section::Remotes)?;
+            res_rows = decode_remotes(fpart, payload, remap)?;
+        }
+        gid_counter = file.header.gid_counter.max(gid_counter);
+        bytes += file.data.len() as u64;
+    }
+    let mut ghost_rows: Vec<(MeshEnt, PartId)> = ghosts
+        .into_iter()
+        .filter_map(|((dim, gid), src)| part.find_gid(dim, gid).map(|e| (e, src)))
+        .collect();
+    ghost_rows.sort_by_key(|&(e, _)| e);
+    Ok(LoadedPart {
         part,
         res_rows,
         ghost_rows,
-        gid_counter: header.gid_counter,
-        bytes: data.len() as u64,
-    };
-    if manifest.delta_count > 0 {
-        crate::delta::replay_deltas(dir, fpart, manifest, &mut lp, skip_ghosts, remap)?;
-    }
-    Ok(lp)
-}
-
-/// Byte-level access to one checkpoint's part files, abstracted so that a
-/// restore service (`pumi-serve`) can interpose a shared chunk cache
-/// between the files and the decoders. `delta == None` addresses the base
-/// snapshot's part file, `Some(k)` delta round `k`'s file; the returned
-/// bytes are the section's raw (decompressed, CRC-verified) stream.
-pub trait SectionSource {
-    /// Fetch one section of one part file.
-    fn section(
-        &self,
-        fpart: PartId,
-        delta: Option<u32>,
-        section: Section,
-    ) -> Result<Vec<u8>, IoError>;
+        gid_counter,
+        bytes,
+    })
 }
 
 /// Load one part of a checkpoint standalone: no remote-copy stitching, no
 /// ghost layers (ghost copies are dropped on decode), deltas replayed in
 /// order. Field values stay staged as `__io:f:<name>` double tags, exactly
 /// as they ride migration during a collective restore. This is the restore
-/// primitive behind `pumi-serve`'s slice service; the full collective
-/// restore is [`read_checkpoint`].
+/// primitive behind `pumi-serve`'s slice service; it runs the same loader
+/// as the collective restore, [`read_checkpoint`].
 pub fn load_standalone_part(
     manifest: &Manifest,
     fpart: PartId,
     src: &dyn SectionSource,
 ) -> Result<Part, IoError> {
-    let elem_dim = manifest.elem_dim as usize;
-    let mut part = Part::new(fpart, elem_dim);
-    let payload = src.section(fpart, None, Section::Entities)?;
-    decode_entities(fpart, &mut part, payload, elem_dim, true)?;
-    let payload = src.section(fpart, None, Section::Tags)?;
-    decode_tags(fpart, &mut part, payload, true)?;
-    let payload = src.section(fpart, None, Section::Fields)?;
-    decode_fields(fpart, &mut part, payload, true)?;
-    let mut ghost_map = FxHashMap::default();
-    for k in 1..=manifest.delta_count {
-        crate::delta::apply_delta_round(
-            fpart,
-            &mut part,
-            elem_dim,
-            true,
-            &mut ghost_map,
-            &mut |s| src.section(fpart, Some(k), s),
-        )?;
-    }
-    Ok(part)
+    Ok(load_part(src, manifest, fpart, fpart, true, &|p| p)?.part)
 }
 
 /// Read the manifest on rank 0 and broadcast it.
@@ -485,10 +593,14 @@ pub fn read_checkpoint_with(comm: &Comm, dir: &Path, opts: ReadOpts) -> Result<R
         }
     };
 
+    let files = DiskFiles {
+        dir,
+        manifest: &manifest,
+    };
     let mut loaded: Vec<LoadedPart> = Vec::new();
     let mut local_err: Option<IoError> = None;
     for &(fpart, loaded_id) in &assignments {
-        match load_part(dir, fpart, loaded_id, &manifest, skip_ghosts, &remap) {
+        match load_part(&files, &manifest, fpart, loaded_id, skip_ghosts, &remap) {
             Ok(lp) => loaded.push(lp),
             Err(e) => {
                 local_err = Some(e);
@@ -498,10 +610,7 @@ pub fn read_checkpoint_with(comm: &Comm, dir: &Path, opts: ReadOpts) -> Result<R
     }
     let bytes_local: u64 = loaded.iter().map(|lp| lp.bytes).sum();
     pumi_obs::metrics::counter_add("io.read.bytes", bytes_local);
-    let failures = comm.allreduce_sum_u64(local_err.is_some() as u64);
-    if failures > 0 {
-        return Err(local_err.unwrap_or(IoError::PeerFailed { failures }));
-    }
+    agree(comm, local_err)?;
     let bytes_global = comm.allreduce_sum_u64(bytes_local);
 
     // Floor every gid counter at the global max so ids minted after the

@@ -1,28 +1,36 @@
-//! Parallel checkpoint writer.
+//! Parallel checkpoint writer: the one part-file codec.
 //!
 //! Each rank serializes its local parts — entities, partition-model
 //! residence data, ghost provenance, tags, and fields — into one `.pmb`
-//! file per part; rank 0 then writes the manifest. The call is collective
-//! and fallible: local write failures are agreed across ranks (one
-//! allreduce) so every rank returns an `Err` together instead of leaving
-//! peers blocked in the manifest reduction.
+//! file per part; rank 0 then writes the manifest. Full snapshots and
+//! delta rounds ([`crate::delta`]) share every section encoder and the
+//! write driver: a full snapshot is a delta in which every entity is
+//! dirty. The encoders take an optional [`DirtyLog`] — `None` keeps every
+//! entity, `Some(log)` only the logged ones — and a delta file appends the
+//! delta-only Deleted section.
+//!
+//! Writes are collective and fallible: local failures are agreed across
+//! ranks (one allreduce) so every rank returns an `Err` together instead
+//! of leaving peers blocked in the manifest reduction. The manifest is
+//! the commit point; it is written only once every part file is down.
 //!
 //! The section encoders write through [`SectionSink`] into LZ4-compressed,
 //! CRC'd chunks streamed straight to disk, so peak memory is one chunk
 //! regardless of part size.
 
 use crate::chunk::{ChunkWriter, SectionSink, DEFAULT_CHUNK_LEN};
-use crate::error::{IoError, Section};
+use crate::delta::encode_deleted;
+use crate::error::{agree, IoError, Section};
 use crate::format::{
     encode_header_v2, encode_manifest, encode_table_v2, part_file_path, FieldDesc, Manifest,
-    SectionEntryV2, HEADER_V2_LEN, MANIFEST_FILE,
+    SectionEntryV2, FLAG_DELTA, HEADER_V2_LEN, MANIFEST_FILE,
 };
 use crate::FIELD_TAG_PREFIX;
-use pumi_core::DistMesh;
+use pumi_core::{DirtyLog, DistMesh, Part};
 use pumi_field::{DistField, Field};
 use pumi_pcu::{Comm, MsgWriter};
 use pumi_util::tag::TagKind;
-use pumi_util::{Dim, MeshEnt, PartId};
+use pumi_util::{Dim, MeshEnt};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 
@@ -52,12 +60,20 @@ impl Default for WriteOpts {
     }
 }
 
-fn encode_entities(part: &pumi_core::Part, w: &mut dyn SectionSink) {
-    let elem_dim = part.mesh.elem_dim();
-    for d in 0..=elem_dim {
-        let dim = Dim::from_usize(d);
-        w.put_u32(part.mesh.count(dim) as u32);
-        for e in part.mesh.iter(dim) {
+/// The entities of dimension `dim` a part file carries: every one for a
+/// full snapshot (`dirty == None`), only the logged ones for a delta.
+fn rows(part: &Part, dirty: Option<&DirtyLog>, dim: Dim) -> Vec<MeshEnt> {
+    part.mesh
+        .iter(dim)
+        .filter(|&e| dirty.is_none_or(|log| log.dirty[dim.as_usize()].contains(&part.gid_of(e))))
+        .collect()
+}
+
+fn encode_entities(part: &Part, dirty: Option<&DirtyLog>, w: &mut dyn SectionSink) {
+    for d in 0..=part.mesh.elem_dim() {
+        let ents = rows(part, dirty, Dim::from_usize(d));
+        w.put_u32(ents.len() as u32);
+        for e in ents {
             w.put_u64(part.gid_of(e));
             w.put_u8(part.mesh.topo(e).to_u8());
             w.put_u32(part.mesh.class_of(e).0);
@@ -86,7 +102,9 @@ fn encode_entities(part: &pumi_core::Part, w: &mut dyn SectionSink) {
     }
 }
 
-fn encode_remotes(part: &pumi_core::Part, w: &mut dyn SectionSink) {
+/// Boundary links are global state and cheap relative to entities, so
+/// deltas carry them in full too.
+fn encode_remotes(part: &Part, w: &mut dyn SectionSink) {
     let shared = part.shared_entities();
     w.put_u32(shared.len() as u32);
     for (e, _) in shared {
@@ -96,7 +114,7 @@ fn encode_remotes(part: &pumi_core::Part, w: &mut dyn SectionSink) {
     }
 }
 
-fn encode_tags(part: &pumi_core::Part, w: &mut dyn SectionSink) {
+fn encode_tags(part: &Part, dirty: Option<&DirtyLog>, w: &mut dyn SectionSink) {
     let tm = part.mesh.tags();
     let elem_dim = part.mesh.elem_dim();
     // Collect rows first: the declared count can exceed the live-entity
@@ -106,22 +124,21 @@ fn encode_tags(part: &pumi_core::Part, w: &mut dyn SectionSink) {
         if tm.name(tid).starts_with(FIELD_TAG_PREFIX) || tm.count(tid) == 0 {
             continue;
         }
-        let mut rows = Vec::new();
+        let mut rows_of_tag = Vec::new();
         for d in 0..=elem_dim {
-            let dim = Dim::from_usize(d);
-            for e in part.mesh.iter(dim) {
+            for e in rows(part, dirty, Dim::from_usize(d)) {
                 if let Some(data) = tm.get(tid, e) {
-                    rows.push((d as u8, part.gid_of(e), data));
+                    rows_of_tag.push((d as u8, part.gid_of(e), data));
                 }
             }
         }
-        if !rows.is_empty() {
-            per_tag.push((tid, rows));
+        if !rows_of_tag.is_empty() {
+            per_tag.push((tid, rows_of_tag));
         }
     }
     w.put_u32(per_tag.len() as u32);
     let mut buf = Vec::new();
-    for (tid, rows) in per_tag {
+    for (tid, rows_of_tag) in per_tag {
         w.put_bytes(tm.name(tid).as_bytes());
         w.put_u8(match tm.kind(tid) {
             TagKind::Int => 0,
@@ -129,8 +146,8 @@ fn encode_tags(part: &pumi_core::Part, w: &mut dyn SectionSink) {
             TagKind::Bytes => 2,
         });
         w.put_u32(tm.len_of(tid) as u32);
-        w.put_u32(rows.len() as u32);
-        for (d, gid, data) in rows {
+        w.put_u32(rows_of_tag.len() as u32);
+        for (d, gid, data) in rows_of_tag {
             w.put_u8(d);
             w.put_u64(gid);
             buf.clear();
@@ -140,23 +157,28 @@ fn encode_tags(part: &pumi_core::Part, w: &mut dyn SectionSink) {
     }
 }
 
-fn encode_fields(part: &pumi_core::Part, fields: &[&Field], w: &mut dyn SectionSink) {
+fn encode_fields(
+    part: &Part,
+    fields: &[&Field],
+    dirty: Option<&DirtyLog>,
+    w: &mut dyn SectionSink,
+) {
     let elem_dim = part.mesh.elem_dim();
     w.put_u32(fields.len() as u32);
     for f in fields {
         w.put_bytes(f.name.as_bytes());
         w.put_u8(crate::format::shape_to_u8(f.shape));
         w.put_u32(f.ncomp as u32);
-        let mut rows = Vec::new();
+        let mut values = Vec::new();
         for d in f.shape.node_dims(elem_dim) {
-            for e in part.mesh.iter(d) {
+            for e in rows(part, dirty, d) {
                 if let Some(v) = f.get(e) {
-                    rows.push((d.as_usize() as u8, part.gid_of(e), v));
+                    values.push((d.as_usize() as u8, part.gid_of(e), v));
                 }
             }
         }
-        w.put_u32(rows.len() as u32);
-        for (d, gid, v) in rows {
+        w.put_u32(values.len() as u32);
+        for (d, gid, v) in values {
             w.put_u8(d);
             w.put_u64(gid);
             w.put_f64_slice(v);
@@ -164,22 +186,45 @@ fn encode_fields(part: &pumi_core::Part, fields: &[&Field], w: &mut dyn SectionS
     }
 }
 
-/// A section's identity plus the encoder that produces its content.
-pub(crate) type SectionEnc<'a> = (Section, Box<dyn Fn(&mut dyn SectionSink) + 'a>);
-
-/// Stream a v2 part file to `path`: placeholder header, chunked sections
-/// (each encoder runs once, its output compressed and flushed chunk by
-/// chunk), the table, then a seek-back header rewrite with the table's
+/// Stream one part file to `path`: a full snapshot of `part` when `dirty`
+/// is `None`, else a delta of the logged entities ([`FLAG_DELTA`] set, a
+/// Deleted section appended). Writes a placeholder header, the chunked
+/// sections (each encoder runs once, its output compressed and flushed
+/// chunk by chunk), the table, then rewrites the header with the table's
 /// landing spot. Returns total file bytes.
-pub(crate) fn write_part_file_v2(
+fn write_part_file(
     path: &Path,
-    part_id: PartId,
-    elem_dim: u32,
-    gid_counter: u64,
-    flags: u32,
+    part: &Part,
+    fields: &[&Field],
+    dirty: Option<&DirtyLog>,
     chunk_len: usize,
-    sections: &[SectionEnc<'_>],
 ) -> Result<u64, IoError> {
+    type Encoder<'a> = Box<dyn Fn(&mut dyn SectionSink) + 'a>;
+    let mut sections: Vec<(Section, Encoder<'_>)> = vec![
+        (
+            Section::Entities,
+            Box::new(|w: &mut dyn SectionSink| encode_entities(part, dirty, w)),
+        ),
+        (
+            Section::Remotes,
+            Box::new(|w: &mut dyn SectionSink| encode_remotes(part, w)),
+        ),
+        (
+            Section::Tags,
+            Box::new(|w: &mut dyn SectionSink| encode_tags(part, dirty, w)),
+        ),
+        (
+            Section::Fields,
+            Box::new(|w: &mut dyn SectionSink| encode_fields(part, fields, dirty, w)),
+        ),
+    ];
+    if let Some(log) = dirty {
+        sections.push((
+            Section::Deleted,
+            Box::new(move |w: &mut dyn SectionSink| encode_deleted(log, w)),
+        ));
+    }
+
     let io_err = |source: std::io::Error| IoError::Io {
         path: path.to_path_buf(),
         source,
@@ -189,7 +234,7 @@ pub(crate) fn write_part_file_v2(
     out.write_all(&[0u8; HEADER_V2_LEN]).map_err(io_err)?;
     let mut offset = HEADER_V2_LEN as u64;
     let mut entries = Vec::with_capacity(sections.len());
-    for (section, enc) in sections {
+    for (section, enc) in &sections {
         let mut cw = ChunkWriter::new(&mut out, chunk_len);
         enc(&mut cw);
         let st = cw.finish_section().map_err(io_err)?;
@@ -205,10 +250,10 @@ pub(crate) fn write_part_file_v2(
     let table = encode_table_v2(&entries);
     out.write_all(&table).map_err(io_err)?;
     let hdr = encode_header_v2(
-        part_id,
-        elem_dim,
-        gid_counter,
-        flags,
+        part.id,
+        part.mesh.elem_dim() as u32,
+        part.gid_counter(),
+        if dirty.is_some() { FLAG_DELTA } else { 0 },
         offset,
         table.len() as u32,
     );
@@ -218,26 +263,76 @@ pub(crate) fn write_part_file_v2(
     Ok(offset + table.len() as u64)
 }
 
-/// The four full-snapshot sections of one part, as v2 encoders.
-fn full_sections<'a>(part: &'a pumi_core::Part, pfields: &'a [&'a Field]) -> Vec<SectionEnc<'a>> {
-    vec![
-        (
-            Section::Entities,
-            Box::new(move |w: &mut dyn SectionSink| encode_entities(part, w)),
-        ),
-        (
-            Section::Remotes,
-            Box::new(move |w: &mut dyn SectionSink| encode_remotes(part, w)),
-        ),
-        (
-            Section::Tags,
-            Box::new(move |w: &mut dyn SectionSink| encode_tags(part, w)),
-        ),
-        (
-            Section::Fields,
-            Box::new(move |w: &mut dyn SectionSink| encode_fields(part, pfields, w)),
-        ),
-    ]
+/// Write a part file for every local part of `dm` into `dir` — full
+/// snapshots, or with `delta` each part's current dirty log — and agree on
+/// failures across ranks. The logs are read, not drained: the caller
+/// rotates them only once the round is committed. `bytes_global` is left
+/// for [`commit_manifest`] to fill in.
+pub(crate) fn write_parts(
+    comm: &Comm,
+    dm: &DistMesh,
+    fields: &[&DistField],
+    dir: &Path,
+    delta: bool,
+    chunk_len: usize,
+) -> Result<WriteStats, IoError> {
+    for df in fields {
+        assert_eq!(df.len(), dm.parts.len(), "field not aligned with dm.parts");
+    }
+    let mut stats = WriteStats::default();
+    let mut local_err = std::fs::create_dir_all(dir)
+        .err()
+        .map(|source| IoError::Io {
+            path: dir.to_path_buf(),
+            source,
+        });
+    if local_err.is_none() {
+        for (slot, part) in dm.parts.iter().enumerate() {
+            let pfields: Vec<&Field> = fields.iter().map(|df| &df[slot]).collect();
+            let dirty = delta.then(|| {
+                part.dirty_log()
+                    .expect("delta write without dirty tracking")
+            });
+            let path = part_file_path(dir, part.id);
+            match write_part_file(&path, part, &pfields, dirty, chunk_len) {
+                Ok(n) => {
+                    stats.bytes_local += n;
+                    stats.parts_written += 1;
+                }
+                Err(e) => {
+                    local_err = Some(e);
+                    break;
+                }
+            }
+        }
+    }
+    pumi_obs::metrics::counter_add("io.write.bytes", stats.bytes_local);
+    agree(comm, local_err)?;
+    Ok(stats)
+}
+
+/// The commit point of a write, once every part file is down: rank 0
+/// writes `manifest` (`Some` there only), every rank agrees on the outcome
+/// and the world's bytes are totalled into `stats`.
+pub(crate) fn commit_manifest(
+    comm: &Comm,
+    dir: &Path,
+    manifest: Option<Manifest>,
+    mut stats: WriteStats,
+) -> Result<WriteStats, IoError> {
+    let mut local_err = None;
+    let mut manifest_bytes = 0u64;
+    if let Some(m) = manifest {
+        let data = encode_manifest(&m);
+        let path = dir.join(MANIFEST_FILE);
+        match std::fs::write(&path, &data) {
+            Ok(()) => manifest_bytes = data.len() as u64,
+            Err(source) => local_err = Some(IoError::Io { path, source }),
+        }
+    }
+    agree(comm, local_err)?;
+    stats.bytes_global = comm.allreduce_sum_u64(stats.bytes_local + manifest_bytes);
+    Ok(stats)
 }
 
 /// Write a checkpoint of `dm` (and the given fields, each aligned with
@@ -286,50 +381,7 @@ pub fn write_checkpoint_with(
     opts: &WriteOpts,
 ) -> Result<WriteStats, IoError> {
     let _span = pumi_obs::span!("io.write");
-    for df in fields {
-        assert_eq!(df.len(), dm.parts.len(), "field not aligned with dm.parts");
-    }
-    let mut local_err: Option<IoError> = None;
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        local_err = Some(IoError::Io {
-            path: dir.to_path_buf(),
-            source: e,
-        });
-    }
-    let mut bytes_local = 0u64;
-    let mut parts_written = 0usize;
-    if local_err.is_none() {
-        for (slot, part) in dm.parts.iter().enumerate() {
-            let pfields: Vec<&Field> = fields.iter().map(|df| &df[slot]).collect();
-            let path = part_file_path(dir, part.id);
-            let wrote = write_part_file_v2(
-                &path,
-                part.id,
-                part.mesh.elem_dim() as u32,
-                part.gid_counter(),
-                0,
-                opts.chunk_len,
-                &full_sections(part, &pfields),
-            );
-            match wrote {
-                Ok(n) => {
-                    bytes_local += n;
-                    parts_written += 1;
-                }
-                Err(e) => {
-                    local_err = Some(e);
-                    break;
-                }
-            }
-        }
-    }
-    pumi_obs::metrics::counter_add("io.write.bytes", bytes_local);
-
-    // Agree on part-file failures before any further collective.
-    let failures = comm.allreduce_sum_u64(local_err.is_some() as u64);
-    if failures > 0 {
-        return Err(local_err.unwrap_or(IoError::PeerFailed { failures }));
-    }
+    let stats = write_parts(comm, dm, fields, dir, false, opts.chunk_len)?;
 
     // Manifest inputs: global owned counts, ghost presence, field
     // descriptors (identical on every rank by the SPMD contract).
@@ -369,9 +421,7 @@ pub fn write_checkpoint_with(
     }
     let gathered = comm.gather_bytes(0, dw.finish());
 
-    let mut manifest_err: Option<IoError> = None;
-    let mut manifest_bytes = 0u64;
-    if comm.rank() == 0 {
+    let manifest = (comm.rank() == 0).then(|| {
         let mut descs = local_descs;
         if descs.is_empty() {
             for blob in gathered.unwrap_or_default() {
@@ -395,7 +445,7 @@ pub fn write_checkpoint_with(
                 break;
             }
         }
-        let manifest = Manifest {
+        Manifest {
             nparts: dm.map.nparts() as u32,
             elem_dim,
             nranks_at_write: comm.nranks() as u32,
@@ -408,22 +458,7 @@ pub fn write_checkpoint_with(
             has_ghosts: any_ghosts,
             fields: descs,
             delta_count: 0,
-        };
-        let data = encode_manifest(&manifest);
-        let path = dir.join(MANIFEST_FILE);
-        match std::fs::write(&path, &data) {
-            Ok(()) => manifest_bytes = data.len() as u64,
-            Err(e) => manifest_err = Some(IoError::Io { path, source: e }),
         }
-    }
-    let failures = comm.allreduce_sum_u64(manifest_err.is_some() as u64);
-    if failures > 0 {
-        return Err(manifest_err.unwrap_or(IoError::PeerFailed { failures }));
-    }
-    let bytes_global = comm.allreduce_sum_u64(bytes_local + manifest_bytes);
-    Ok(WriteStats {
-        bytes_local,
-        bytes_global,
-        parts_written,
-    })
+    });
+    commit_manifest(comm, dir, manifest, stats)
 }

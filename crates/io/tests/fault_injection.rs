@@ -10,10 +10,13 @@ use pumi_io::format::{
     encode_header_v2, encode_table_v2, parse_part_header_v2, part_file_path, SectionEntryV2,
     HEADER_V2_LEN,
 };
-use pumi_io::{read_checkpoint, write_checkpoint, IoError, Section};
+use pumi_io::{
+    read_checkpoint, struct_hash, write_checkpoint, write_delta_checkpoint, IoError, Section,
+};
 use pumi_meshgen::tri_rect;
 use pumi_partition::partition_mesh;
 use pumi_pcu::execute;
+use pumi_util::Dim;
 use std::path::PathBuf;
 
 fn write_small(name: &str) -> PathBuf {
@@ -354,5 +357,55 @@ fn corrupted_manifest_body_fails_cleanly() {
             "expected Manifest, got: {e:?}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A delta round that fails (here: one rank cannot create its part file)
+/// must keep the round's changes in the dirty logs, so the retry writes
+/// them and the restore matches the live mesh.
+#[test]
+fn failed_delta_write_keeps_the_round_for_a_retry() {
+    let dir = std::env::temp_dir().join(format!("pumi_io_fault_{}_retry", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let obstruction = part_file_path(&pumi_io::format::delta_dir(&dir, 1), 1);
+    let serial = tri_rect(8, 8, 1.0, 1.0);
+    let live = execute(2, |c| {
+        let labels = partition_mesh(&serial, 2);
+        let mut dm = distribute(c, PartMap::contiguous(2, 2), &serial, &labels);
+        write_checkpoint(c, &dm, &[], &dir).expect("base write");
+        dm.start_dirty_tracking();
+        // Every copy of a vertex moves the same way, so shared copies agree.
+        for part in &mut dm.parts {
+            let vs: Vec<_> = part.mesh.iter(Dim::Vertex).collect();
+            for v in vs {
+                let mut x = part.mesh.coords(v);
+                x[2] += 0.5 * x[0] + 0.25;
+                part.mesh.set_coords(v, x);
+                part.mark_dirty(v);
+            }
+        }
+        // A directory where rank 1's delta part file belongs.
+        if c.rank() == 0 {
+            std::fs::create_dir_all(&obstruction).expect("plant obstruction");
+        }
+        c.barrier();
+        let err = write_delta_checkpoint(c, &mut dm, &[], &dir).expect_err("obstructed write");
+        assert!(
+            matches!(err, IoError::Io { .. } | IoError::PeerFailed { .. }),
+            "typed failure, got {err:?}"
+        );
+        c.barrier();
+        if c.rank() == 0 {
+            std::fs::remove_dir(&obstruction).expect("remove obstruction");
+        }
+        c.barrier();
+        write_delta_checkpoint(c, &mut dm, &[], &dir).expect("retry");
+        struct_hash(c, &dm)
+    });
+    let restored = execute(2, |c| {
+        let r = read_checkpoint(c, &dir).expect("restore");
+        struct_hash(c, &r.dm)
+    });
+    assert_eq!(restored, live, "the retried round must carry the changes");
     let _ = std::fs::remove_dir_all(&dir);
 }

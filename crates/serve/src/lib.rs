@@ -43,11 +43,8 @@
 
 use pumi_core::Part;
 use pumi_io::chunk::{decode_chunk, section_raw_bytes};
-use pumi_io::format::{
-    delta_dir, parse_manifest, parse_part_header_v2, part_file_path, Manifest, PartHeaderV2,
-    MANIFEST_FILE,
-};
-use pumi_io::{load_standalone_part, IoError, Section, SectionSource};
+use pumi_io::format::{parse_manifest, Manifest, MANIFEST_FILE};
+use pumi_io::{load_standalone_part, IoError, PartFile, Section, SectionSource};
 use pumi_partition::partition_mesh;
 use pumi_util::{Dim, FxHashMap, FxHashSet, MeshEnt, PartId};
 use std::path::PathBuf;
@@ -117,15 +114,6 @@ pub struct Slice {
     pub fparts: Vec<PartId>,
 }
 
-/// A part file (base snapshot or delta round) held by the server: its
-/// compressed on-disk image and parsed header. The image is kept so chunk
-/// payloads can be re-verified against a byte range without re-reading;
-/// decompressed data lives in the shared chunk cache instead.
-struct PartFile {
-    data: Vec<u8>,
-    header: PartHeaderV2,
-}
-
 /// Chunk cache key: (delta round or 0 for base, file part, section code,
 /// chunk index).
 type ChunkKey = (u32, PartId, u8, u32);
@@ -162,6 +150,9 @@ impl ChunkCache {
 pub struct CheckpointServer {
     dir: PathBuf,
     manifest: Manifest,
+    /// Part files by (round, file part), kept compressed once read so chunk
+    /// payloads can be re-verified after an eviction without re-reading;
+    /// decompressed data lives in `chunks`.
     files: Mutex<FxHashMap<(u32, PartId), Arc<PartFile>>>,
     chunks: Mutex<ChunkCache>,
     hits: AtomicU64,
@@ -269,49 +260,6 @@ impl CheckpointServer {
         }
     }
 
-    /// Fetch (or lazily load) a part file. `delta == 0` is the base
-    /// snapshot; `delta == k` is round `k`'s file under `delta_<k:04>/`.
-    fn part_file(&self, delta: u32, fpart: PartId) -> Result<Arc<PartFile>, IoError> {
-        // The load happens under the map lock: concurrent first-touchers
-        // would otherwise stampede the same file and each pay the disk
-        // read. Serializing the one-time loads keeps "each part file is
-        // read from disk exactly once" an invariant the stats can assert.
-        let mut files = self.files.lock().expect("file map lock");
-        if let Some(pf) = files.get(&(delta, fpart)) {
-            return Ok(Arc::clone(pf));
-        }
-        let fdir = if delta == 0 {
-            self.dir.clone()
-        } else {
-            delta_dir(&self.dir, delta)
-        };
-        let path = part_file_path(&fdir, fpart);
-        let data = std::fs::read(&path).map_err(|e| IoError::Io {
-            path: path.clone(),
-            source: e,
-        })?;
-        let header = parse_part_header_v2(fpart, &data)?;
-        let is_delta = header.is_delta();
-        if delta == 0 && is_delta {
-            return Err(IoError::Header {
-                part: fpart,
-                detail: "delta part file where a base snapshot was expected".into(),
-            });
-        }
-        if delta > 0 && !is_delta {
-            return Err(IoError::Header {
-                part: fpart,
-                detail: format!("delta round {delta}: not a delta part file"),
-            });
-        }
-        self.disk_bytes
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        pumi_obs::metrics::counter_add("serve.bytes.disk", data.len() as u64);
-        let pf = Arc::new(PartFile { data, header });
-        files.insert((delta, fpart), Arc::clone(&pf));
-        Ok(pf)
-    }
-
     /// One chunk's raw bytes through the shared cache. `decode` runs only
     /// on a miss (CRC check + decompression).
     fn cached_chunk(
@@ -347,15 +295,27 @@ impl CheckpointServer {
 }
 
 impl SectionSource for CheckpointServer {
-    fn section(
-        &self,
-        fpart: PartId,
-        delta: Option<u32>,
-        section: Section,
-    ) -> Result<Vec<u8>, IoError> {
-        let round = delta.unwrap_or(0);
-        let pf = self.part_file(round, fpart)?;
-        let out = section_raw_bytes(fpart, &pf.data, &pf.header.find(section)?, |idx, hdr, p| {
+    fn open(&self, fpart: PartId, round: u32) -> Result<Arc<PartFile>, IoError> {
+        // The load happens under the map lock: concurrent first-touchers
+        // would otherwise stampede the same file and each pay the disk
+        // read. Serializing the one-time loads keeps "each part file is
+        // read from disk exactly once" an invariant the stats can assert.
+        let mut files = self.files.lock().expect("file map lock");
+        if let Some(pf) = files.get(&(round, fpart)) {
+            return Ok(Arc::clone(pf));
+        }
+        let pf = Arc::new(PartFile::open(&self.dir, &self.manifest, fpart, round)?);
+        let n = pf.data.len() as u64;
+        self.disk_bytes.fetch_add(n, Ordering::Relaxed);
+        pumi_obs::metrics::counter_add("serve.bytes.disk", n);
+        files.insert((round, fpart), Arc::clone(&pf));
+        Ok(pf)
+    }
+
+    fn section(&self, file: &PartFile, section: Section) -> Result<Vec<u8>, IoError> {
+        let (round, fpart) = (file.round, file.fpart);
+        let entry = file.header.find(section)?;
+        let out = section_raw_bytes(fpart, &file.data, &entry, |idx, hdr, p| {
             self.cached_chunk((round, fpart, section.to_u8(), idx), || {
                 decode_chunk(fpart, section, idx, hdr, p)
             })

@@ -6,7 +6,7 @@
 use pumi_core::{distribute, PartMap};
 use pumi_io::format::part_file_path;
 use pumi_io::{read_checkpoint, write_checkpoint, write_delta_checkpoint, IoError, Section};
-use pumi_meshgen::tri_rect;
+use pumi_meshgen::{tet_box, tri_rect};
 use pumi_partition::partition_mesh;
 use pumi_pcu::execute;
 use pumi_serve::CheckpointServer;
@@ -302,4 +302,34 @@ fn corrupt_chunk_is_typed_through_serve_path() {
     let err2 = server.restore_slice(1, 2).expect_err("still damaged");
     assert!(matches!(err2, IoError::BadChunk { part: 1, .. }));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A part file whose element dimension disagrees with the manifest (a 3-D
+/// part copied into a 2-D checkpoint) is refused through the serve path
+/// with the same typed header error the collective reader raises.
+#[test]
+fn part_file_of_wrong_dimension_is_typed_through_serve_path() {
+    let dir = tmp_dir("dim2");
+    let dir3 = tmp_dir("dim3");
+    for (serial, dir) in [
+        (tri_rect(4, 4, 1.0, 1.0), &dir),
+        (tet_box(2, 2, 2, 1.0, 1.0, 1.0), &dir3),
+    ] {
+        execute(1, |c| {
+            let labels = partition_mesh(&serial, 1);
+            let dm = distribute(c, PartMap::contiguous(1, 1), &serial, &labels);
+            write_checkpoint(c, &dm, &[], dir).expect("write");
+        });
+    }
+    std::fs::copy(part_file_path(&dir3, 0), part_file_path(&dir, 0)).expect("swap in 3-D part");
+
+    let server = CheckpointServer::open(&dir).expect("open");
+    match server.restore_slice(0, 1) {
+        Err(IoError::Header { part: 0, detail }) => {
+            assert!(detail.contains("element dimension 3"), "{detail}")
+        }
+        other => panic!("expected Header(part 0), got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&dir3);
 }
