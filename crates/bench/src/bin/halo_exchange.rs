@@ -7,7 +7,9 @@
 //! reduces the contributions leaf→root and broadcasts the totals root→leaf
 //! across the whole overlap (boundary copies and all k ghost layers).
 //! Traffic is split into on-node and off-node bytes by the machine model,
-//! the cost a deeper stencil actually pays on a real network.
+//! the cost a deeper stencil actually pays on a real network. Each depth
+//! runs one untimed assembly sync first, so lazy set-up (buffer pools,
+//! array growth) is not charged to the first timed rep.
 //!
 //! Usage: `halo_exchange [--nx N] [--parts P] [--nodes N] [--reps R]`
 //! Emits `results/halo_exchange.json`; `scripts/bench_snapshot.sh` folds
@@ -15,8 +17,8 @@
 
 use pumi_bench::report::{f, print_table, table_to_json, write_report, Table};
 use pumi_core::overlap::{Overlap, Reduction};
-use pumi_core::{distribute, PartMap};
-use pumi_field::{dist_field, Field, FieldShape, FieldSync};
+use pumi_core::{distribute, DistMesh, PartMap};
+use pumi_field::{dist_field, DistField, Field, FieldShape, FieldSync};
 use pumi_meshgen::{jitter, tet_box};
 use pumi_obs::json::Json;
 use pumi_obs::report::Report;
@@ -33,6 +35,24 @@ struct DepthRun {
     on_node_bytes: u64,
     off_node_bytes: u64,
     obs: Json,
+}
+
+/// Element loop: each part lumps 1.0 from every owned element onto its
+/// closure vertices; the sync then assembles the totals.
+fn assemble(dm: &DistMesh, fields: &mut DistField) {
+    for (slot, part) in dm.parts.iter().enumerate() {
+        fields[slot].fill(&part.mesh, &[0.0]);
+        for e in part.mesh.elems() {
+            if part.is_ghost(e) {
+                continue;
+            }
+            for &v in part.mesh.verts_of(e) {
+                let v = MeshEnt::vertex(v);
+                let m = fields[slot].get_scalar(v).unwrap_or(0.0);
+                fields[slot].set_scalar(v, m + 1.0);
+            }
+        }
+    }
 }
 
 fn median_ns(mut xs: Vec<u64>) -> u64 {
@@ -82,30 +102,24 @@ fn main() {
             let template = Field::new("mass", FieldShape::Linear, 1);
             let mut fields = dist_field(&dm, &template);
             let mut rep_ns = Vec::with_capacity(reps);
+            // Warm-up: one untimed sync, outside the traffic window.
+            assemble(&dm, &mut fields);
+            fields.sync(c, &dm, &ov, Reduction::Add);
+            // The meters are world-wide: no rank may send until every
+            // rank has reset them.
             c.barrier();
             c.reset_traffic();
+            c.barrier();
             for _ in 0..reps {
-                // Element loop: each part lumps 1.0 from every owned element
-                // onto its closure vertices; the sync assembles the totals.
-                for (slot, part) in dm.parts.iter().enumerate() {
-                    fields[slot].fill(&part.mesh, &[0.0]);
-                    for e in part.mesh.elems() {
-                        if part.is_ghost(e) {
-                            continue;
-                        }
-                        for &v in part.mesh.verts_of(e) {
-                            let v = MeshEnt::vertex(v);
-                            let m = fields[slot].get_scalar(v).unwrap_or(0.0);
-                            fields[slot].set_scalar(v, m + 1.0);
-                        }
-                    }
-                }
+                assemble(&dm, &mut fields);
                 let t = Timer::start();
                 fields.sync(c, &dm, &ov, Reduction::Add);
                 rep_ns.push((t.seconds() * 1e9) as u64);
             }
             c.barrier();
             let traffic = c.traffic();
+            // The report below sends; read the meters on every rank first.
+            c.barrier();
             let obs = pumi_pcu::obs::world_report(c);
             (
                 rep_ns,

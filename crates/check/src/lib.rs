@@ -29,8 +29,9 @@
 //! * **share symmetry** — [`check_overlap`] verifies the star-forest itself:
 //!   every leaf's root reference is mirrored by an entry in that root's
 //!   leaf list, and vice versa, in both directions of a phased exchange,
-//! * **field-copy coherence** — [`check_field_sync`] verifies that after an
-//!   `Insert`-mode `Field::sync` every copy is bit-identical to its owner,
+//! * **field-copy coherence** — [`check_field_sync`] verifies that after a
+//!   `Field::sync` every copy, part-boundary remote or ghost, is
+//!   bit-identical to its owner,
 //! * **part placement** — every part is hosted exactly once, on the rank
 //!   its part map names, inside the machine model — the invariant
 //!   hierarchy-aware partitioning (`partition_hier`) and on-/off-node
@@ -896,7 +897,7 @@ pub fn check_overlap(comm: &Comm, dm: &DistMesh, ov: &Overlap) -> Result<u64, Ch
     for (slot, part) in dm.parts.iter().enumerate() {
         debug_assert_eq!(ov.part_id(slot), part.id);
         // leaf -> root: (0, dim, gid, root_idx, my_idx, ghost)
-        for (e, root) in ov.leaves_sorted(slot) {
+        for &(e, root) in ov.leaves(slot) {
             let w = ex.to(part.id, root.part);
             w.put_u8(0);
             w.put_u8(dim8(e));
@@ -906,7 +907,7 @@ pub fn check_overlap(comm: &Comm, dm: &DistMesh, ov: &Overlap) -> Result<u64, Ch
             w.put_u8(root.ghost as u8);
         }
         // root -> leaf: (1, dim, gid, leaf_idx, my_idx, ghost)
-        for (e, shares) in ov.roots_sorted(slot) {
+        for (e, shares) in ov.roots(slot) {
             for s in shares {
                 let w = ex.to(part.id, s.part);
                 w.put_u8(1);
@@ -980,10 +981,10 @@ pub fn check_overlap(comm: &Comm, dm: &DistMesh, ov: &Overlap) -> Result<u64, Ch
     Ok(comm.allreduce_sum_u64(links))
 }
 
-/// Verify field-copy coherence: every shared node's value on every copy is
-/// bit-identical to the owner's (the post-condition of an `Insert`-mode
-/// `Field::sync`). Collective; returns the world-wide number of
-/// values compared.
+/// Verify field-copy coherence: every shared node's value on every copy,
+/// part-boundary remote and ghost alike, is bit-identical to the owner's
+/// (the post-condition of any `Field::sync`). Collective; returns the
+/// world-wide number of values compared.
 pub fn check_field_sync(
     comm: &Comm,
     dm: &DistMesh,
@@ -997,14 +998,15 @@ pub fn check_field_sync(
         .unwrap_or_default();
     let mut ex = PartExchange::new(comm, &dm.map);
     for (slot, part) in dm.parts.iter().enumerate() {
-        for (e, remotes) in part.shared_entities() {
-            if !node_dims.contains(&e.dim()) || !part.is_owned(e) {
+        for e in node_dims.iter().flat_map(|&d| part.mesh.iter(d)) {
+            if part.is_ghost(e) || !part.is_owned(e) {
                 continue;
             }
             let Some(v) = fields[slot].get(e) else {
                 continue;
             };
-            for &(q, ridx) in remotes {
+            // Owner → every copy: remotes, then ghost holders.
+            for &(q, ridx) in part.remotes_of(e).iter().chain(part.ghosted_to(e)) {
                 let w = ex.to(part.id, q);
                 w.put_u8(dim8(e));
                 w.put_u64(part.gid_of(e));
@@ -1013,6 +1015,8 @@ pub fn check_field_sync(
             }
         }
     }
+    let ncomp = fields.first().map_or(1, |f| f.ncomp);
+    let mut want = vec![0.0; ncomp];
     let mut errs = Vec::new();
     let mut compared = 0u64;
     let mut frames = ex.finish();
@@ -1026,15 +1030,13 @@ pub fn check_field_sync(
                 let d = Dim::try_from_u8(db).ok_or(MsgError::bad_enum("dimension", db))?;
                 let gid = r.try_get_u64()?;
                 let idx = r.try_get_u32()?;
-                let want = r.try_get_f64_slice()?;
+                r.try_get_f64_slice_into(&mut want)?;
                 compared += 1;
                 let e = MeshEnt::new(d, idx);
                 let same = fields[slot].get(e).is_some_and(|have| {
-                    have.len() == want.len()
-                        && have
-                            .iter()
-                            .zip(&want)
-                            .all(|(a, b)| a.to_bits() == b.to_bits())
+                    have.iter()
+                        .zip(&want)
+                        .all(|(a, b)| a.to_bits() == b.to_bits())
                 });
                 if !same {
                     errs.push(CheckError::FieldCopyMismatch {

@@ -425,3 +425,65 @@ fn field_sync_coherence() {
             .all(|e| matches!(e, CheckError::FieldCopyMismatch { .. })));
     });
 }
+
+/// Ghost copies are copies too: after a depth-2 sync every ghost value
+/// matches its owner's, and one stale ghost fails the check on every rank.
+#[test]
+fn field_sync_coherence_covers_ghosts() {
+    execute(2, |c| {
+        let mut dm = two_part_mesh(c);
+        let ov = grow_overlap(c, &mut dm, GhostOpts::new().layers(2));
+        let template = Field::new("u", FieldShape::Linear, 1);
+        let mut fields = dist_field(&dm, &template);
+        for (slot, part) in dm.parts.iter().enumerate() {
+            for v in part.mesh.iter(Dim::Vertex) {
+                fields[slot].set_scalar(v, 1.0 + part.id as f64);
+            }
+        }
+        fields.sync(c, &dm, &ov, Reduction::Add);
+        let compared = check_field_sync(c, &dm, &fields).expect("synced field coherent");
+        let ghost_verts = dm.global_sum(c, |p| {
+            p.ghost_entities()
+                .iter()
+                .filter(|e| e.dim() == Dim::Vertex)
+                .count() as u64
+        });
+        assert!(ghost_verts > 0, "depth-2 overlap grew no ghost vertices");
+        let shared_verts = dm.global_sum(c, |p| {
+            p.shared_entities()
+                .iter()
+                .filter(|&&(e, _)| e.dim() == Dim::Vertex && !p.is_owned(e))
+                .count() as u64
+        });
+        assert_eq!(compared, shared_verts + ghost_verts, "every copy compared");
+
+        // Corrupt one ghost copy on part 1: every rank must see the typed
+        // mismatch, not only the one holding the stale value.
+        if c.rank() == 1 {
+            let part = &dm.parts[0];
+            let g = part
+                .ghost_entities()
+                .into_iter()
+                .find(|e| e.dim() == Dim::Vertex)
+                .expect("no ghost vertex on part 1");
+            fields[0].set_scalar(g, -1.0);
+        }
+        let err = check_field_sync(c, &dm, &fields).expect_err("stale ghost undetected");
+        assert_eq!(err.world_violations, 1);
+        assert!(err
+            .errors
+            .iter()
+            .all(|e| matches!(e, CheckError::FieldCopyMismatch { .. })));
+        if c.rank() == 1 {
+            assert!(matches!(
+                err.errors.as_slice(),
+                [CheckError::FieldCopyMismatch {
+                    part: 1,
+                    owner: 0,
+                    dim: 0,
+                    ..
+                }]
+            ));
+        }
+    });
+}

@@ -123,6 +123,59 @@ pub struct Share {
     pub ghost: bool,
 }
 
+/// One slot's star forest as sorted arrays. Built once per
+/// [`Overlap::rebuild_shares`]; every bcast and reduce walks it as is.
+#[derive(Debug, Clone, Default)]
+struct Forest {
+    /// Root entities, sorted by handle.
+    root_ents: Vec<MeshEnt>,
+    /// Row offsets (CSR): the leaf copies of `root_ents[i]` are
+    /// `root_shares[root_off[i]..root_off[i + 1]]`.
+    root_off: Vec<usize>,
+    /// The leaf copies of every root, grouped by root, sorted within.
+    root_shares: Vec<Share>,
+    /// Leaf entities with their root copy, sorted by handle.
+    leaves: Vec<(MeshEnt, Share)>,
+}
+
+impl Forest {
+    /// Build from unordered `(root entity, leaf copy)` links and
+    /// `(leaf entity, root copy)` records.
+    fn build(mut links: Vec<(MeshEnt, Share)>, mut leaves: Vec<(MeshEnt, Share)>) -> Forest {
+        // Canonical order, independent of ack arrival order.
+        links.sort_unstable();
+        leaves.sort_unstable_by_key(|&(e, _)| e);
+        debug_assert!(leaves.windows(2).all(|w| w[0].0 < w[1].0), "leaf twice");
+        let mut f = Forest {
+            root_shares: Vec::with_capacity(links.len()),
+            leaves,
+            ..Forest::default()
+        };
+        for (e, share) in links {
+            if f.root_ents.last() != Some(&e) {
+                f.root_ents.push(e);
+                f.root_off.push(f.root_shares.len());
+            }
+            f.root_shares.push(share);
+        }
+        f.root_off.push(f.root_shares.len());
+        f
+    }
+
+    /// The leaf copies of `root_ents[i]`.
+    #[inline]
+    fn row(&self, i: usize) -> &[Share] {
+        &self.root_shares[self.root_off[i]..self.root_off[i + 1]]
+    }
+
+    fn roots(&self) -> impl ExactSizeIterator<Item = (MeshEnt, &[Share])> + '_ {
+        self.root_ents
+            .iter()
+            .enumerate()
+            .map(|(i, &e)| (e, self.row(i)))
+    }
+}
+
 /// The star-forest share map of a [`DistMesh`]: for every local part slot,
 /// which entities are roots (with their leaf lists) and which are leaves
 /// (with their root reference).
@@ -130,16 +183,20 @@ pub struct Share {
 /// Built locally from part bookkeeping by [`Overlap::from_dist`] — remotes
 /// and ghost records already encode the forest; no communication needed.
 /// [`Overlap::grow`] deepens the ghost region and refreshes the maps.
+///
+/// Each slot stores its forest as sorted arrays: the roots in compressed
+/// rows (sorted entities, row offsets, one flat leaf-copy array) and the
+/// leaves as sorted `(entity, root copy)` pairs. Data movement walks them
+/// directly, so a bcast or reduce costs O(links) with no sort and no
+/// allocation of its own; lookups are binary searches.
 #[derive(Debug, Clone)]
 pub struct Overlap {
     bridge: Dim,
     depth: usize,
     /// Local part ids, aligned with `DistMesh::parts`.
     part_ids: Vec<PartId>,
-    /// Per slot: root entity → its leaf copies, boundary and ghost.
-    roots: Vec<FxHashMap<MeshEnt, Vec<Share>>>,
-    /// Per slot: leaf entity → its root copy.
-    leaves: Vec<FxHashMap<MeshEnt, Share>>,
+    /// Per slot: the share arrays.
+    forests: Vec<Forest>,
     /// Per slot: elements already shipped to each neighbour part, so
     /// repeated [`Overlap::grow`] calls never re-send (grow(1) twice ≡
     /// grow(2)).
@@ -160,8 +217,7 @@ impl Overlap {
             bridge: Dim::Vertex,
             depth: 0,
             part_ids: dm.parts.iter().map(|p| p.id).collect(),
-            roots: vec![FxHashMap::default(); nlocal],
-            leaves: vec![FxHashMap::default(); nlocal],
+            forests: vec![Forest::default(); nlocal],
             sent: vec![FxHashMap::default(); nlocal],
             frontier: vec![FxHashMap::default(); nlocal],
         };
@@ -198,110 +254,70 @@ impl Overlap {
 
     /// Number of root entities on slot `slot`.
     pub fn num_roots(&self, slot: usize) -> usize {
-        self.roots[slot].len()
+        self.forests[slot].root_ents.len()
     }
 
     /// Number of leaf entities on slot `slot`.
     pub fn num_leaves(&self, slot: usize) -> usize {
-        self.leaves[slot].len()
+        self.forests[slot].leaves.len()
     }
 
     /// The leaf copies of root `e` on slot `slot` (empty if not a root).
     pub fn root_shares(&self, slot: usize, e: MeshEnt) -> &[Share] {
-        self.roots[slot]
-            .get(&e)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        let f = &self.forests[slot];
+        match f.root_ents.binary_search(&e) {
+            Ok(i) => f.row(i),
+            Err(_) => &[],
+        }
     }
 
     /// The root copy of leaf `e` on slot `slot`, if `e` is a leaf there.
     pub fn leaf_root(&self, slot: usize, e: MeshEnt) -> Option<Share> {
-        self.leaves[slot].get(&e).copied()
+        let leaves = &self.forests[slot].leaves;
+        let i = leaves.binary_search_by_key(&e, |&(l, _)| l).ok()?;
+        Some(leaves[i].1)
     }
 
     /// All roots of slot `slot` with their leaf lists, sorted by handle.
-    pub fn roots_sorted(&self, slot: usize) -> Vec<(MeshEnt, &[Share])> {
-        let mut v: Vec<(MeshEnt, &[Share])> = self.roots[slot]
-            .iter()
-            .map(|(&e, s)| (e, s.as_slice()))
-            .collect();
-        v.sort_by_key(|&(e, _)| e);
-        v
+    pub fn roots(&self, slot: usize) -> impl ExactSizeIterator<Item = (MeshEnt, &[Share])> + '_ {
+        self.forests[slot].roots()
     }
 
     /// All leaves of slot `slot` with their root references, sorted by
     /// handle.
-    pub fn leaves_sorted(&self, slot: usize) -> Vec<(MeshEnt, Share)> {
-        let mut v: Vec<(MeshEnt, Share)> =
-            self.leaves[slot].iter().map(|(&e, &s)| (e, s)).collect();
-        v.sort_by_key(|&(e, _)| e);
-        v
+    pub fn leaves(&self, slot: usize) -> &[(MeshEnt, Share)] {
+        &self.forests[slot].leaves
     }
 
     /// Re-derive roots/leaves from `dm`'s part bookkeeping. Called after
     /// every [`Overlap::grow`]; call it yourself if you mutate share
     /// records through the raw [`Part`] API.
     pub fn rebuild_shares(&mut self, dm: &DistMesh) {
+        let share = |(part, index): (PartId, u32), ghost| Share { part, index, ghost };
         for (slot, part) in dm.parts.iter().enumerate() {
-            let roots = &mut self.roots[slot];
-            let leaves = &mut self.leaves[slot];
-            roots.clear();
-            leaves.clear();
+            let mut links = Vec::new();
+            let mut leaves = Vec::new();
             // Part-boundary copies: the minimum residence part is root.
             for (e, remotes) in part.shared_entities() {
                 if part.is_owned(e) {
-                    roots.insert(
-                        e,
-                        remotes
-                            .iter()
-                            .map(|&(p, i)| Share {
-                                part: p,
-                                index: i,
-                                ghost: false,
-                            })
-                            .collect(),
-                    );
+                    links.extend(remotes.iter().map(|&r| (e, share(r, false))));
                 } else {
                     let owner = part.owner(e);
-                    if let Some(&(p, i)) = remotes.iter().find(|&&(p, _)| p == owner) {
-                        leaves.insert(
-                            e,
-                            Share {
-                                part: p,
-                                index: i,
-                                ghost: false,
-                            },
-                        );
+                    if let Some(&r) = remotes.iter().find(|&&(p, _)| p == owner) {
+                        leaves.push((e, share(r, false)));
                     }
                 }
             }
             // Ghost copies: the source (always the owner — growth re-roots
             // holder records) is root, the ghost is a leaf.
             for (e, holders) in part.ghost_entities_owner_side() {
-                let list = roots.entry(e).or_default();
-                for (p, i) in holders {
-                    list.push(Share {
-                        part: p,
-                        index: i,
-                        ghost: true,
-                    });
-                }
+                links.extend(holders.into_iter().map(|h| (e, share(h, true))));
             }
             for e in part.ghost_entities() {
-                let (p, i) = part.ghost_source(e).expect("ghost has a source");
-                leaves.insert(
-                    e,
-                    Share {
-                        part: p,
-                        index: i,
-                        ghost: true,
-                    },
-                );
+                let src = part.ghost_source(e).expect("ghost has a source");
+                leaves.push((e, share(src, true)));
             }
-            // Canonical leaf order, independent of ack arrival order.
-            for list in roots.values_mut() {
-                list.sort_unstable();
-            }
+            self.forests[slot] = Forest::build(links, leaves);
         }
     }
 
@@ -526,9 +542,9 @@ impl Overlap {
     ) {
         let _span = pumi_obs::span!("overlap.bcast");
         let mut ex = PartExchange::new(comm, map);
-        for slot in 0..self.num_slots() {
+        for (slot, forest) in self.forests.iter().enumerate() {
             let me = self.part_ids[slot];
-            for (e, shares) in self.roots_sorted(slot) {
+            for (e, shares) in forest.roots() {
                 if !has(data, slot, e) {
                     continue;
                 }
@@ -574,9 +590,9 @@ impl Overlap {
     ) {
         let _span = pumi_obs::span!("overlap.reduce");
         let mut ex = PartExchange::new(comm, map);
-        for slot in 0..self.num_slots() {
+        for (slot, forest) in self.forests.iter().enumerate() {
             let me = self.part_ids[slot];
-            for (e, root) in self.leaves_sorted(slot) {
+            for &(e, root) in &forest.leaves {
                 if scope == Scope::Ghosts && !root.ghost {
                     continue;
                 }
@@ -861,7 +877,7 @@ mod tests {
             // Every leaf's root lists that leaf back, with matching index.
             for slot in 0..ov.num_slots() {
                 let me = ov.part_id(slot);
-                for (e, root) in ov.leaves_sorted(slot) {
+                for &(e, root) in ov.leaves(slot) {
                     let rslot = dm.map.slot_of(root.part);
                     let back = ov.root_shares(rslot, MeshEnt::new(e.dim(), root.index));
                     assert!(
@@ -870,8 +886,56 @@ mod tests {
                     );
                 }
                 // Roots and leaves are disjoint on a part.
-                for (e, _) in ov.roots_sorted(slot) {
+                for (e, _) in ov.roots(slot) {
                     assert!(ov.leaf_root(slot, e).is_none());
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn sorted_accessors_agree_with_lookups() {
+        execute(1, |c| {
+            let mut dm = quadrants_one_rank(c);
+            let mut ov = Overlap::from_dist(&dm);
+            for depth in 1..=3 {
+                ov.grow(c, &mut dm, 1);
+                assert_eq!(ov.depth(), depth);
+                for (slot, part) in dm.parts.iter().enumerate() {
+                    let roots: Vec<(MeshEnt, &[Share])> = ov.roots(slot).collect();
+                    assert_eq!(roots.len(), ov.num_roots(slot));
+                    assert!(roots.windows(2).all(|w| w[0].0 < w[1].0), "roots unsorted");
+                    for &(e, shares) in &roots {
+                        assert!(shares.windows(2).all(|w| w[0] < w[1]), "row unsorted");
+                        assert_eq!(ov.root_shares(slot, e), shares);
+                        assert_eq!(ov.leaf_root(slot, e), None);
+                        // A root's row is its remotes plus its ghost holders.
+                        let want = part.remotes_of(e).len() + part.ghosted_to(e).len();
+                        assert_eq!(shares.len(), want, "root {e:?} depth {depth}");
+                    }
+                    let leaves = ov.leaves(slot);
+                    assert_eq!(leaves.len(), ov.num_leaves(slot));
+                    assert!(
+                        leaves.windows(2).all(|w| w[0].0 < w[1].0),
+                        "leaves unsorted"
+                    );
+                    for &(e, root) in leaves {
+                        assert_eq!(ov.leaf_root(slot, e), Some(root));
+                        assert!(ov.root_shares(slot, e).is_empty());
+                        if root.ghost {
+                            assert_eq!(part.ghost_source(e), Some((root.part, root.index)));
+                        }
+                    }
+                    let ghost_leaves = leaves.iter().filter(|(_, s)| s.ghost).count();
+                    assert_eq!(ghost_leaves, part.num_ghosts(), "depth {depth}");
+                    // Entities in neither array miss both lookups.
+                    for v in part.mesh.iter(Dim::Vertex) {
+                        if !part.is_shared(v) && !part.is_ghost(v) && part.ghosted_to(v).is_empty()
+                        {
+                            assert!(ov.root_shares(slot, v).is_empty());
+                            assert_eq!(ov.leaf_root(slot, v), None);
+                        }
+                    }
                 }
             }
         });
@@ -891,7 +955,7 @@ mod tests {
             part.mesh.assert_valid();
             // The share map saw the ghosts: some ghost leaves exist.
             let slot = dm.map.slot_of(c.rank() as PartId);
-            assert!(ov.leaves_sorted(slot).iter().any(|&(_, s)| s.ghost));
+            assert!(ov.leaves(slot).iter().any(|&(_, s)| s.ghost));
         });
     }
 
@@ -1047,7 +1111,7 @@ mod tests {
             );
             let slot = dm.map.slot_of(c.rank() as PartId);
             let part = &dm.parts[slot];
-            for (e, shares) in ov.roots_sorted(slot) {
+            for (e, shares) in ov.roots(slot) {
                 if e.dim() != Dim::Vertex {
                     continue;
                 }

@@ -8,7 +8,7 @@
 //! example in §I is exactly why vertex+edge balance matters).
 
 use pumi_mesh::Mesh;
-use pumi_util::{Dim, FxHashMap, MeshEnt};
+use pumi_util::{Dim, MeshEnt};
 
 /// The node distribution of a field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +40,13 @@ impl FieldShape {
 }
 
 /// A field over one mesh part.
+///
+/// Values live in dense per-dimension arrays indexed by
+/// [`MeshEnt::idx`]: the node of entity index `i` holds
+/// `ncomp` values at `i * ncomp`, and a presence flag per index says
+/// whether it is set. The arrays grow on demand to the largest index set,
+/// so memory follows the part's index space, and a read or write is an
+/// index computation, with no hashing and no allocation per node.
 #[derive(Debug, Clone)]
 pub struct Field {
     /// Field name (used to pair fields across parts).
@@ -48,7 +55,12 @@ pub struct Field {
     pub shape: FieldShape,
     /// Components per node (1 = scalar, 3 = vector, 9 = matrix, ...).
     pub ncomp: usize,
-    data: FxHashMap<MeshEnt, Vec<f64>>,
+    /// Per dimension: `ncomp` values per entity index.
+    vals: [Vec<f64>; 4],
+    /// Per dimension: whether entity index `i` has a value.
+    present: [Vec<bool>; 4],
+    /// Number of set nodes.
+    len: usize,
 }
 
 impl Field {
@@ -59,8 +71,19 @@ impl Field {
             name: name.to_string(),
             shape,
             ncomp,
-            data: FxHashMap::default(),
+            vals: Default::default(),
+            present: Default::default(),
+            len: 0,
         }
+    }
+
+    /// The value range of `e` in its dimension's array, if `e` is set.
+    #[inline]
+    fn range(&self, e: MeshEnt) -> Option<std::ops::Range<usize>> {
+        let i = e.idx();
+        let set = self.present[e.dim().as_usize()].get(i).copied();
+        set.unwrap_or(false)
+            .then(|| i * self.ncomp..(i + 1) * self.ncomp)
     }
 
     /// Set the node value on an entity.
@@ -69,7 +92,17 @@ impl Field {
     /// Panics if the component count mismatches.
     pub fn set(&mut self, e: MeshEnt, value: &[f64]) {
         assert_eq!(value.len(), self.ncomp, "component count mismatch");
-        self.data.insert(e, value.to_vec());
+        let (d, i) = (e.dim().as_usize(), e.idx());
+        let present = &mut self.present[d];
+        if i >= present.len() {
+            present.resize(i + 1, false);
+            self.vals[d].resize((i + 1) * self.ncomp, 0.0);
+        }
+        if !present[i] {
+            present[i] = true;
+            self.len += 1;
+        }
+        self.vals[d][i * self.ncomp..(i + 1) * self.ncomp].copy_from_slice(value);
     }
 
     /// Set a scalar node value.
@@ -78,8 +111,17 @@ impl Field {
     }
 
     /// The node value, if set.
+    #[inline]
     pub fn get(&self, e: MeshEnt) -> Option<&[f64]> {
-        self.data.get(&e).map(|v| v.as_slice())
+        let r = self.range(e)?;
+        Some(&self.vals[e.dim().as_usize()][r])
+    }
+
+    /// The node value for in-place update, if set.
+    #[inline]
+    pub fn get_mut(&mut self, e: MeshEnt) -> Option<&mut [f64]> {
+        let r = self.range(e)?;
+        Some(&mut self.vals[e.dim().as_usize()][r])
     }
 
     /// The scalar node value, if set.
@@ -89,17 +131,20 @@ impl Field {
 
     /// Remove a node value (entity deleted).
     pub fn remove(&mut self, e: MeshEnt) -> Option<Vec<f64>> {
-        self.data.remove(&e)
+        let v = self.get(e)?.to_vec();
+        self.present[e.dim().as_usize()][e.idx()] = false;
+        self.len -= 1;
+        Some(v)
     }
 
     /// Number of set nodes.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.len
     }
 
     /// Whether no node has a value.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
     }
 
     /// Initialize every node entity of `mesh` with `value`.

@@ -56,6 +56,9 @@ pub fn sync_fields(
     let pack = |f: &DistField, slot: usize, e: MeshEnt, w: &mut pumi_pcu::MsgWriter| {
         w.put_f64_slice(f[slot].get(e).expect("packed entity has a value"));
     };
+    // One decode buffer per call: incoming values are read into it, then
+    // combined with (or copied onto) the copy's value in place.
+    let mut buf = vec![0.0; fields.first().map_or(1, |f| f.ncomp)];
     if red != Reduction::Insert {
         overlap.reduce(
             comm,
@@ -65,21 +68,19 @@ pub fn sync_fields(
             has,
             pack,
             |f, slot, e, r| {
-                let v = r.try_get_f64_slice()?;
-                match f[slot].get(e) {
+                r.try_get_f64_slice_into(&mut buf)?;
+                match f[slot].get_mut(e) {
                     Some(cur) => {
-                        let mut cur = cur.to_vec();
-                        for (c, x) in cur.iter_mut().zip(&v) {
+                        for (c, &x) in cur.iter_mut().zip(&buf) {
                             match red {
                                 Reduction::Add => *c += x,
-                                Reduction::Min => *c = c.min(*x),
-                                Reduction::Max => *c = c.max(*x),
+                                Reduction::Min => *c = c.min(x),
+                                Reduction::Max => *c = c.max(x),
                                 Reduction::Insert => unreachable!(),
                             }
                         }
-                        f[slot].set(e, &cur);
                     }
-                    None => f[slot].set(e, &v),
+                    None => f[slot].set(e, &buf),
                 }
                 Ok(())
             },
@@ -92,10 +93,13 @@ pub fn sync_fields(
         fields,
         has,
         pack,
-        |f, slot, e, r| {
-            let v = r.try_get_f64_slice()?;
-            f[slot].set(e, &v);
-            Ok(())
+        |f, slot, e, r| match f[slot].get_mut(e) {
+            Some(cur) => r.try_get_f64_slice_into(cur),
+            None => {
+                r.try_get_f64_slice_into(&mut buf)?;
+                f[slot].set(e, &buf);
+                Ok(())
+            }
         },
     );
 }

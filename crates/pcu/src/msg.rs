@@ -118,6 +118,13 @@ pub enum MsgError {
         /// What was being decoded.
         what: &'static str,
     },
+    /// A length prefix disagreed with the length the reader expected.
+    Length {
+        /// Elements the destination holds.
+        expected: usize,
+        /// Elements the length prefix announced.
+        found: usize,
+    },
 }
 
 impl MsgError {
@@ -140,6 +147,11 @@ impl MsgError {
     pub fn corrupt(what: &'static str) -> MsgError {
         MsgError::Corrupt { what }
     }
+
+    /// An [`MsgError::Length`].
+    pub fn length(expected: usize, found: usize) -> MsgError {
+        MsgError::Length { expected, found }
+    }
 }
 
 impl std::fmt::Display for MsgError {
@@ -155,6 +167,12 @@ impl std::fmt::Display for MsgError {
                 write!(f, "{what} not held by this part (dim {dim}, gid {gid})")
             }
             MsgError::Corrupt { what } => write!(f, "undecodable {what}"),
+            MsgError::Length { expected, found } => {
+                write!(
+                    f,
+                    "length prefix {found} does not match expected {expected}"
+                )
+            }
         }
     }
 }
@@ -386,6 +404,21 @@ impl MsgReader {
         Ok((0..n).map(|_| self.buf.get_f64_le()).collect())
     }
 
+    /// Read a length-prefixed `f64` vector into `dst` without allocating.
+    /// A length prefix other than `dst.len()` is an [`MsgError::Length`];
+    /// a short body is an underrun. On error `dst` is left unchanged.
+    pub fn try_get_f64_slice_into(&mut self, dst: &mut [f64]) -> Result<(), MsgError> {
+        let n = self.try_get_u32()? as usize;
+        if n != dst.len() {
+            return Err(MsgError::length(dst.len(), n));
+        }
+        self.check(n.saturating_mul(8))?;
+        for x in dst.iter_mut() {
+            *x = self.buf.get_f64_le();
+        }
+        Ok(())
+    }
+
     /// Read a `u8`.
     ///
     /// # Panics
@@ -558,6 +591,35 @@ mod tests {
         assert_eq!(r.try_get_bytes(), Ok(b"xy".to_vec()));
         assert!(r.is_done());
         assert_eq!(r.try_get_u8(), Err(MsgError::underrun(1, 0)));
+    }
+
+    #[test]
+    fn f64_slice_into_decodes_in_place_and_types_mismatches() {
+        let mut w = MsgWriter::new();
+        w.put_f64_slice(&[1.5, -2.0, 3.25]);
+        w.put_f64_slice(&[4.0, 5.0]);
+        w.put_u32(2); // prefix promises 2 values, body holds one
+        w.put_f64(6.0);
+        let mut r = MsgReader::new(w.finish());
+        let mut dst = [0.0; 3];
+        assert_eq!(r.try_get_f64_slice_into(&mut dst), Ok(()));
+        assert_eq!(dst, [1.5, -2.0, 3.25]);
+        // A 2-value frame into a 3-value destination is a typed error, and
+        // the destination keeps its contents.
+        assert_eq!(
+            r.try_get_f64_slice_into(&mut dst),
+            Err(MsgError::length(3, 2))
+        );
+        assert_eq!(dst, [1.5, -2.0, 3.25]);
+        assert!(MsgError::length(3, 2).to_string().contains("expected 3"));
+        // The mismatch consumed only the prefix: the body still reads.
+        assert_eq!(r.try_get_f64(), Ok(4.0));
+        assert_eq!(r.try_get_f64(), Ok(5.0));
+        let mut two = [0.0; 2];
+        assert_eq!(
+            r.try_get_f64_slice_into(&mut two),
+            Err(MsgError::underrun(16, 8))
+        );
     }
 
     #[test]
